@@ -11,7 +11,6 @@ mountain-pass path deformation as a cross-check on the critical level.
 """
 
 from .errors import (
-    BracketFailureError,
     DivergedError,
     EndpointNotNegativeError,
     FracgroundError,
@@ -93,7 +92,6 @@ __all__ = [
     "FracgroundError",
     "ZeroModeSingularError",
     "NoPositivePartError",
-    "BracketFailureError",
     "DivergedError",
     "EndpointNotNegativeError",
     "SpectralTailError",

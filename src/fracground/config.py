@@ -37,35 +37,35 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-# key -> (default, converter)
+# key -> (default, converter); each default is read from the dataclass that owns it
 DEFAULTS: dict[str, tuple[Any, Any]] = {
-    "L": (64.0, float),
-    "N": (4096, int),
-    "alpha": (0.75, float),
-    "autonomous": (False, _as_bool),
-    "p": (3.0, float),
-    "theta": (4.0, float),
-    "p0": (3.5, float),
-    "a.kind": ("gaussian", str),
-    "a.amplitude": (0.5, float),
-    "a.width": (1.0, float),
-    "init.kind": ("gaussian", str),
-    "init.center": (0.0, float),
-    "init.width": (2.0, float),
-    "init.amplitude": (1.0, float),
-    "init.path": ("", str),
-    "tau": (0.5, float),
-    "max_iters": (2000, int),
-    "residual_tol": (1e-7, float),
-    "recentre": (True, _as_bool),
-    "window_radius": (1.0, float),
+    "L": (SolveConfig.half_width, float),
+    "N": (SolveConfig.n_points, int),
+    "alpha": (SolveConfig.alpha, float),
+    "autonomous": (SolveConfig.autonomous, _as_bool),
+    "p": (NonlinearitySpec.p, float),
+    "theta": (NonlinearitySpec.theta, float),
+    "p0": (NonlinearitySpec.p0, float),
+    "a.kind": (Perturbation.kind, str),
+    "a.amplitude": (Perturbation.amplitude, float),
+    "a.width": (Perturbation.width, float),
+    "init.kind": (InitSpec.kind, str),
+    "init.center": (InitSpec.center, float),
+    "init.width": (InitSpec.width, float),
+    "init.amplitude": (InitSpec.amplitude, float),
+    "init.path": (InitSpec.path, str),
+    "tau": (SolveConfig.step, float),
+    "max_iters": (SolveConfig.max_iters, int),
+    "residual_tol": (SolveConfig.residual_tol, float),
+    "recentre": (SolveConfig.recentre, _as_bool),
+    "window_radius": (SolveConfig.window_radius, float),
     "seed": (0, int),
     "fiber.sigma_min": (0.01, float),
     "fiber.sigma_max": (10.0, float),
     "fiber.count": (200, int),
-    "hyp.t_max": (8.0, float),
-    "hyp.xi_max": (1e4, float),
-    "hyp.n_samples": (48, int),
+    "hyp.t_max": (SampleBox.t_max, float),
+    "hyp.xi_max": (SampleBox.xi_max, float),
+    "hyp.n_samples": (SampleBox.n_samples, int),
 }
 
 

@@ -14,11 +14,7 @@ class ZeroModeSingularError(FracgroundError, ValueError):
 
 
 class NoPositivePartError(FracgroundError, ValueError):
-    """Nehari projection of a field whose positive part vanishes."""
-
-
-class BracketFailureError(FracgroundError, RuntimeError):
-    """Geometric bracket expansion for the fiber stationarity equation failed."""
+    """Nehari projection of a field whose positive part vanishes or underflows."""
 
 
 class DivergedError(FracgroundError, RuntimeError):

@@ -109,7 +109,7 @@ def eval_F(spec: NonlinearitySpec, t: ArrayLike, xi: ArrayLike, *, autonomous: b
 
 
 def eval_df(spec: NonlinearitySpec, t: ArrayLike, xi: ArrayLike, *, autonomous: bool = False):
-    """Partial derivative of f in xi, used by the Newton polish of fiber roots."""
+    """Partial derivative of f in xi: (1 + a(t)) * p * max(xi, 0)^(p-1)."""
     xi_plus = np.maximum(np.asarray(xi, dtype=float), 0.0)
     out = (1.0 + _weight(spec, t, autonomous)) * spec.p * xi_plus ** (spec.p - 1.0)
     return out if out.ndim else float(out)

@@ -21,7 +21,7 @@ from .errors import DivergedError, EndpointNotNegativeError, NoPositivePartError
 from .grid import Grid1D, SpectralField, gaussian_field, load_field_json, make_grid, shift_cells
 from .nonlinearity import NonlinearitySpec
 from .operators import h_alpha_norm_sq
-from .variational import energy, gradient, nehari_project
+from .variational import _validate_solver_order, energy, gradient, nehari_project
 
 __all__ = [
     "InitSpec",
@@ -83,11 +83,7 @@ class SolveConfig:
             raise ValueError(f"residual_tol must be >= 1e-12, got {self.residual_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0.5 < self.alpha <= 1.0:
-            raise ValueError(
-                f"alpha must lie in (1/2, 1) (or exactly 1 for classical validation), "
-                f"got {self.alpha}"
-            )
+        _validate_solver_order(self.alpha)
 
     def grid(self) -> Grid1D:
         return make_grid(self.half_width, self.n_points)

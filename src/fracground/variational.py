@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailureError, NoPositivePartError
+from .errors import NoPositivePartError
 from .grid import SpectralField
+# eval_df is unused here; bench/tracer.py binds it in this module and fails if it is missing
 from .nonlinearity import NonlinearitySpec, eval_F, eval_df, eval_f
 from .operators import h_alpha_norm_sq, multiplier_symbol, apply_multiplier
 
@@ -143,83 +144,36 @@ class NehariResult:
     energy: float
 
 
-#: bracket endpoints grow geometrically from [1e-6, 1] up to this bound
-_BRACKET_LIMIT = 1e12
-
-#: relative bracket width handed from bisection to the Newton polish
-_BISECT_REL_WIDTH = 1e-3
-
-#: target |g(sigma)| relative to ||u||_alpha^2
-_ROOT_REL_TOL = 1e-12
-
-
 def nehari_project(
     u: SpectralField, spec: NonlinearitySpec, alpha: float, *, autonomous: bool = False
 ) -> NehariResult:
     """Scale a field onto the stationarity manifold along its ray.
 
-    Solves g(sigma) = ||u||_alpha^2 - integral f(t, sigma u) u / sigma = 0,
-    which is monotone in sigma by fiber monotonicity of the nonlinearity:
-    geometric bracketing, bisection to a 1e-3 relative bracket, then a Newton
-    polish to |g| <= 1e-12 ||u||_alpha^2.
+    f(t, .) is homogeneous of degree p, so the fiber equation
+    ||u||_alpha^2 = integral f(t, sigma u) u / sigma has the closed-form root
+    sigma = (||u||_alpha^2 / integral f(t, u) u)^(1/(p-1)); a non-homogeneous
+    family would need a root-finder again.  The quotient is taken on u / max(u),
+    so u_+^(p+1) neither overflows nor underflows; a sigma that is not finite
+    and positive (||u||_alpha^2 underflowed) raises NoPositivePartError.
     """
     alpha = _validate_solver_order(alpha)
-    if float(np.max(u.values)) <= 0.0:
+    peak = float(np.max(u.values))
+    if peak <= 0.0:
         raise NoPositivePartError("field has no positive part; no fiber maximizer exists")
-    grid = u.grid
-    norm_sq = h_alpha_norm_sq(u, alpha)
-    nodes, vals, h = grid.nodes, u.values, grid.spacing
+    nodes, h = u.grid.nodes, u.grid.spacing
 
-    def g(sigma: float) -> float:
-        f_vals = eval_f(spec, nodes, sigma * vals, autonomous=autonomous)
-        return norm_sq - h * float(np.sum(f_vals * vals)) / sigma
+    def pairing(values: np.ndarray) -> float:
+        return h * float(np.sum(eval_f(spec, nodes, values, autonomous=autonomous) * values))
 
-    def dg(sigma: float) -> float:
-        f_vals = eval_f(spec, nodes, sigma * vals, autonomous=autonomous)
-        df_vals = eval_df(spec, nodes, sigma * vals, autonomous=autonomous)
-        return h * float(np.sum(f_vals * vals)) / sigma ** 2 - h * float(
-            np.sum(df_vals * vals * vals)
-        ) / sigma
-
-    lo, hi = 1e-6, 1.0
-    g_lo, g_hi = g(lo), g(hi)
-    while g_lo <= 0.0:
-        # root below the default bracket: shrink toward zero
-        hi, g_hi = lo, g_lo
-        lo /= 4.0
-        if lo < 1e-300:
-            raise BracketFailureError("bracket collapsed toward sigma = 0")
-        g_lo = g(lo)
-    while g_hi > 0.0:
-        lo, g_lo = hi, g_hi
-        hi *= 4.0
-        if hi > _BRACKET_LIMIT:
-            raise BracketFailureError(f"bracket expansion exceeded {_BRACKET_LIMIT:.0e}")
-        g_hi = g(hi)
-
-    while hi - lo > _BISECT_REL_WIDTH * hi:
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_mid > 0.0:
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-
-    sigma = 0.5 * (lo + hi)
-    for _ in range(80):
-        g_val = g(sigma)
-        if abs(g_val) <= _ROOT_REL_TOL * norm_sq:
-            break
-        slope = dg(sigma)
-        if slope == 0.0:
-            break
-        step = sigma - g_val / slope
-        sigma = step if lo / 2 < step < hi * 2 else 0.5 * (lo + hi)
-
+    unit_norm_sq = h_alpha_norm_sq(u, alpha) / peak / peak
+    unit_sigma = (unit_norm_sq / pairing(u.values / peak)) ** (1.0 / (spec.p - 1.0))
+    sigma = unit_sigma / peak
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise NoPositivePartError(f"fiber scale {sigma!r} is not finite and positive")
     projected = sigma * u
     breakdown = energy(projected, spec, alpha, autonomous=autonomous)
-    # <grad E(sigma u), sigma u> = sigma^2 g(sigma); normalize by ||sigma u||_alpha^2
-    residual = g(sigma) / norm_sq
+    # <grad E(w), w> / ||w||_alpha^2 at w = sigma u; ||w||_alpha^2 = unit_sigma^2 unit_norm_sq
+    residual = 1.0 - pairing(projected.values) / (unit_sigma * unit_sigma * unit_norm_sq)
     return NehariResult(sigma, projected, residual, breakdown.total)
 
 
@@ -240,8 +194,8 @@ def estimate_level(
 ) -> LevelEstimate:
     """Upper bound for the least critical level: min projected energy over candidates.
 
-    Candidates whose projection fails (no positive part, bracket failure) are
-    skipped and reported; at least one candidate must survive.
+    Candidates whose projection fails (no positive part) are skipped and
+    reported; at least one candidate must survive.
     """
     energies: list[float] = []
     failures: list[tuple[int, str]] = []
@@ -250,7 +204,7 @@ def estimate_level(
     for i, cand in enumerate(candidates):
         try:
             result = nehari_project(cand, spec, alpha, autonomous=autonomous)
-        except (NoPositivePartError, BracketFailureError) as exc:
+        except NoPositivePartError as exc:
             failures.append((i, str(exc)))
             energies.append(np.nan)
             continue

@@ -162,12 +162,12 @@ class TestNehariProjection:
             assert nehari_project(u, SPEC, 0.75).energy > 0
 
     def test_projection_far_scales(self, default_grid):
-        # huge and tiny seeds still bracket and polish correctly
-        big = 500.0 * gaussian_field(default_grid)
-        small = 2e-4 * gaussian_field(default_grid)
-        for u in (big, small):
-            result = nehari_project(u, SPEC, 0.75)
+        for scale in (1e-80, 2e-4, 500.0, 1e120):
+            result = nehari_project(scale * gaussian_field(default_grid), SPEC, 0.75)
             assert abs(result.constraint_residual) <= 1e-9
+        # ||u||_alpha^2 underflows to zero, so no finite fiber scale exists
+        with pytest.raises(NoPositivePartError):
+            nehari_project(1e-300 * gaussian_field(default_grid), SPEC, 0.75)
 
 
 class TestTranslationInvariance:
