@@ -6,8 +6,9 @@ continuum Fourier transform
 
     u_hat(w) = integral exp(-i w t) u(t) dt,
 
-so ``spectrum[k] = h * exp(i w_k L) * fft(values)[k]`` with the angular
-frequencies ``w_k = pi k / L`` in FFT layout.  With this scaling the discrete
+so ``spectrum[k] = h * (-1)^k * fft(values)[k]`` with the angular frequencies
+``w_k = pi k / L`` in FFT layout; the phase ``exp(i w_k L)`` that moves the FFT
+origin from index 0 to t = -L is exactly ``(-1)^k``.  With this scaling the discrete
 L2 norm of the values equals the (1/2pi)-weighted L2 norm of the spectrum
 (Plancherel), and smooth decaying functions reproduce their analytic
 transforms to near machine precision.
@@ -83,17 +84,13 @@ def make_grid(half_width: float, n_points: int) -> Grid1D:
     return Grid1D(half_width, n_points, h, nodes, freqs)
 
 
-def _phase(grid: Grid1D) -> np.ndarray:
-    # exp(i w L): shifts the FFT origin from index 0 to t = -L.
-    return np.exp(1j * grid.frequencies * grid.half_width)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralField:
     """Real-valued sampled function with its continuum-calibrated spectrum.
 
     Both representations are computed eagerly on construction, so instances
-    are immutable and safe to share between threads.
+    are immutable and safe to share between threads.  Arithmetic combines
+    both representations linearly and makes no transform.
     """
 
     grid: Grid1D
@@ -102,15 +99,24 @@ class SpectralField:
 
     @classmethod
     def from_values(cls, grid: Grid1D, values: np.ndarray) -> "SpectralField":
-        values = np.asarray(values, dtype=np.float64)
+        values = np.array(values, dtype=np.float64)
         if values.shape != (grid.n_points,):
             raise ValueError(
                 f"values must have shape ({grid.n_points},), got {values.shape}"
             )
+        # checked before the transform too, which warns on non-finite input
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
-        spectrum = grid.spacing * _phase(grid) * np.fft.fft(values)
-        values = values.copy()
+        spectrum = np.fft.fft(values)
+        spectrum[1::2] *= -1.0
+        spectrum *= grid.spacing
+        return cls._join(grid, values, spectrum)
+
+    @classmethod
+    def _join(cls, grid: Grid1D, values: np.ndarray, spectrum: np.ndarray) -> "SpectralField":
+        """Freeze freshly made values and their spectrum into a field."""
+        if not np.all(np.isfinite(values)):
+            raise ValueError("field values must be finite")
         values.flags.writeable = False
         spectrum.flags.writeable = False
         return cls(grid, values, spectrum)
@@ -135,19 +141,20 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
-        return SpectralField.from_values(self.grid, self.values + other.values)
+        return self._join(self.grid, self.values + other.values, self.spectrum + other.spectrum)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_same_grid(other)
-        return SpectralField.from_values(self.grid, self.values - other.values)
+        return self._join(self.grid, self.values - other.values, self.spectrum - other.spectrum)
 
     def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField.from_values(self.grid, float(scalar) * self.values)
+        scalar = float(scalar)
+        return self._join(self.grid, scalar * self.values, scalar * self.spectrum)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField.from_values(self.grid, -self.values)
+        return self._join(self.grid, -self.values, -self.spectrum)
 
 
 def values_from_spectrum(grid: Grid1D, spectrum: np.ndarray) -> tuple[np.ndarray, float]:
@@ -159,9 +166,12 @@ def values_from_spectrum(grid: Grid1D, spectrum: np.ndarray) -> tuple[np.ndarray
         )
     if not np.all(np.isfinite(spectrum)):
         raise ValueError("spectrum entries must be finite")
-    complex_values = np.fft.ifft(spectrum * np.conj(_phase(grid)) / grid.spacing)
+    scaled = spectrum / grid.spacing
+    scaled[1::2] *= -1.0
+    complex_values = np.fft.ifft(scaled)
     imag_l2 = float(np.sqrt(grid.spacing * np.sum(complex_values.imag ** 2)))
-    return complex_values.real, imag_l2
+    # a contiguous copy, so a field built on it does not keep the complex buffer
+    return complex_values.real.copy(), imag_l2
 
 
 def transform(fld: SpectralField, direction: str) -> SpectralField:

@@ -19,6 +19,7 @@ field as zero outside the grid, hence its compact-support precondition.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Iterable, NamedTuple
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import SpectralTailError, SpectralTailWarning, ZeroModeSingularError
-from .grid import Grid1D, SpectralField, lp_norm, values_from_spectrum
+from .grid import Grid1D, SpectralField, lp_norm, make_grid, values_from_spectrum
 
 __all__ = [
     "validate_order",
@@ -73,23 +74,36 @@ def validate_order(alpha: float, *, integral: bool = False) -> float:
     return alpha
 
 
+def _even_symbols(grid: Grid1D, alpha: float) -> tuple[np.ndarray, ...]:
+    """Read-only ``|w|^(2 alpha)``, ``1 + |w|^(2 alpha)`` and its inverse, cached."""
+    return _cached_even_symbols(grid.half_width, grid.n_points, validate_order(alpha))
+
+
+# keyed on the grid's numbers: Grid1D defines __eq__ and so is unhashable
+@functools.lru_cache(maxsize=8)
+def _cached_even_symbols(half_width: float, n_points: int, alpha: float) -> tuple[np.ndarray, ...]:
+    w_pow = np.abs(make_grid(half_width, n_points).frequencies) ** (2.0 * alpha)
+    symbols = (w_pow, w_pow + 1.0, 1.0 / (w_pow + 1.0))
+    for sym in symbols:
+        sym.flags.writeable = False
+    return symbols
+
+
 def multiplier_symbol(grid: Grid1D, alpha: float, kind: str) -> np.ndarray:
-    """Return the complex multiplier array for one operator kind.
+    """Return the multiplier array for one operator kind.
 
     ``composed`` is ``|w|^(2 alpha)`` and ``resolvent`` its shifted inverse
     ``(|w|^(2 alpha) + 1)^(-1)``; both are real and even so the Nyquist mode
-    is kept.  The four one-sided kinds have the Nyquist entry zeroed.
+    is kept; both are cached per (grid, alpha) and read-only.  The four
+    one-sided kinds are complex, built per call, with the Nyquist entry zeroed.
     """
     if kind not in SYMBOL_KINDS:
         raise ValueError(f"unknown symbol kind {kind!r}")
-    w = grid.frequencies
-    if kind == "composed":
-        validate_order(alpha)
-        return (np.abs(w) ** (2.0 * alpha)).astype(np.complex128)
-    if kind == "resolvent":
-        validate_order(alpha)
-        return (1.0 / (np.abs(w) ** (2.0 * alpha) + 1.0)).astype(np.complex128)
+    if kind in ("composed", "resolvent"):
+        composed, _, resolvent = _even_symbols(grid, alpha)
+        return composed if kind == "composed" else resolvent
 
+    w = grid.frequencies
     validate_order(alpha, integral=kind in ("left_int", "right_int"))
     sign = 1.0 if kind.startswith("left") else -1.0
     power = alpha if kind.endswith("deriv") else -alpha
@@ -124,7 +138,10 @@ def _check_tail(u: SpectralField, strict: bool) -> None:
 
 
 def apply_multiplier(u: SpectralField, symbol: np.ndarray) -> SpectralField:
-    """Apply a diagonal Fourier multiplier, asserting a small imaginary residue."""
+    """Apply a diagonal Fourier multiplier, keeping ``symbol * u.spectrum`` as the spectrum.
+
+    The asserted bound on the discarded imaginary residue bounds its gap to the values.
+    """
     out_spectrum = symbol * u.spectrum
     values, imag_l2 = values_from_spectrum(u.grid, out_spectrum)
     scale = lp_norm(u, 2)
@@ -132,7 +149,7 @@ def apply_multiplier(u: SpectralField, symbol: np.ndarray) -> SpectralField:
         raise AssertionError(
             f"imaginary residue {imag_l2:.3e} exceeds {IMAG_RESIDUE_LIMIT:.0e} * ||u|| ({scale:.3e})"
         )
-    return SpectralField.from_values(u.grid, values)
+    return SpectralField._join(u.grid, values, out_spectrum)
 
 
 def fractional_derivative(
@@ -190,14 +207,11 @@ SUPPORT_MARGIN_FRACTION = 0.25
 
 
 def gl_weights(alpha: float, max_terms: int) -> np.ndarray:
-    """Binomial weights (-1)^k C(alpha, k), truncated at GL_WEIGHT_CUTOFF."""
-    out = [1.0]
-    for k in range(1, max_terms + 1):
-        nxt = out[-1] * (k - 1.0 - alpha) / k
-        if abs(nxt) < GL_WEIGHT_CUTOFF:
-            break
-        out.append(nxt)
-    return np.asarray(out)
+    """Binomial weights (-1)^k C(alpha, k), cut before the first below GL_WEIGHT_CUTOFF."""
+    k = np.arange(1.0, max_terms + 1.0)
+    weights = np.concatenate(([1.0], np.cumprod((k - 1.0 - alpha) / k)))
+    small = np.flatnonzero(np.abs(weights) < GL_WEIGHT_CUTOFF)
+    return weights[: small[0]] if small.size else weights
 
 
 def _check_support_margin(u: SpectralField) -> None:
@@ -249,9 +263,8 @@ class HAlphaNorm(NamedTuple):
 
 def h_alpha_norm_sq(u: SpectralField, alpha: float) -> float:
     """Squared fractional Sobolev norm ||u||_L2^2 + || |w|^alpha u_hat ||^2 (spectral side only)."""
-    alpha = validate_order(alpha)
     grid = u.grid
-    weight = 1.0 + np.abs(grid.frequencies) ** (2.0 * alpha)
+    _, weight, _ = _even_symbols(grid, alpha)
     return float(grid.frequency_step / (2.0 * np.pi) * np.sum(weight * np.abs(u.spectrum) ** 2))
 
 
@@ -263,9 +276,8 @@ def h_alpha_norm(u: SpectralField, alpha: float) -> HAlphaNorm:
     derivative.  The two agree to near machine precision on resolved fields,
     which is the numerical form of the norm-equivalence statement.
     """
-    alpha = validate_order(alpha)
     grid = u.grid
-    w_pow = np.abs(grid.frequencies) ** (2.0 * alpha)
+    w_pow, _, _ = _even_symbols(grid, alpha)
     scale = grid.frequency_step / (2.0 * np.pi)
     semi_sq = float(scale * np.sum(w_pow * np.abs(u.spectrum) ** 2))
     l2_sq = float(scale * np.sum(np.abs(u.spectrum) ** 2))

@@ -174,9 +174,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
             break
         iterations += 1
         while True:
-            trial = SpectralField.from_values(
-                grid, u.values - tau * grad.precond_gradient.values
-            )
+            trial = u - tau * grad.precond_gradient
             try:
                 proj = nehari_project(trial, spec, alpha, autonomous=autonomous)
             except NoPositivePartError:

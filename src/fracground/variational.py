@@ -19,7 +19,7 @@ from .errors import NoPositivePartError
 from .grid import SpectralField
 # eval_df is unused here; bench/tracer.py binds it in this module and fails if it is missing
 from .nonlinearity import NonlinearitySpec, eval_F, eval_df, eval_f
-from .operators import h_alpha_norm_sq, multiplier_symbol, apply_multiplier
+from .operators import _even_symbols, apply_multiplier, h_alpha_norm_sq, multiplier_symbol
 
 __all__ = [
     "EnergyBreakdown",
@@ -80,8 +80,8 @@ def gradient(
     """
     alpha = _validate_solver_order(alpha)
     grid = u.grid
-    k_symbol = np.abs(grid.frequencies) ** (2.0 * alpha) + 1.0
-    linear_part = apply_multiplier(u, k_symbol.astype(np.complex128))
+    _, k_symbol, _ = _even_symbols(grid, alpha)
+    linear_part = apply_multiplier(u, k_symbol)
     f_vals = eval_f(spec, grid.nodes, u.values, autonomous=autonomous)
     raw = SpectralField.from_values(grid, linear_part.values - f_vals)
     precond = apply_multiplier(raw, multiplier_symbol(grid, alpha, "resolvent"))
@@ -172,8 +172,8 @@ def nehari_project(
         raise NoPositivePartError(f"fiber scale {sigma!r} is not finite and positive")
     projected = sigma * u
     breakdown = energy(projected, spec, alpha, autonomous=autonomous)
-    # <grad E(w), w> / ||w||_alpha^2 at w = sigma u; ||w||_alpha^2 = unit_sigma^2 unit_norm_sq
-    residual = 1.0 - pairing(projected.values) / (unit_sigma * unit_sigma * unit_norm_sq)
+    # <grad E(w), w> / ||w||_alpha^2 at w = sigma u, with the norm of w itself
+    residual = 1.0 - pairing(projected.values) / (2.0 * breakdown.quadratic)
     return NehariResult(sigma, projected, residual, breakdown.total)
 
 

@@ -79,6 +79,10 @@ class TestTransform:
         back = transform(transform(u, "forward"), "inverse")
         rel = np.max(np.abs(back.values - u.values)) / np.max(np.abs(u.values))
         assert rel < 1e-12
+        # the phase exp(i w_k L) is exactly (-1)^k
+        signs = (-1.0) ** np.arange(default_grid.n_points)
+        expected = default_grid.spacing * (signs * np.fft.fft(u.values))
+        assert np.array_equal(SpectralField.from_values(default_grid, u.values).spectrum, expected)
 
     def test_plancherel(self, default_grid, rng):
         u = random_band_limited_field(default_grid, rng)
@@ -139,6 +143,10 @@ class TestFieldAlgebra:
         assert np.allclose((u - v).values, u.values - v.values)
         assert np.allclose((2.5 * u).values, 2.5 * u.values)
         assert np.allclose((-u).values, -u.values)
+        # arithmetic carries the spectrum linearly instead of re-transforming
+        for combo in (u + v, u - v, 2.5 * u, -u):
+            fresh = SpectralField.from_values(small_grid, combo.values).spectrum
+            assert np.max(np.abs(combo.spectrum - fresh)) <= 1e-12 * np.max(np.abs(fresh))
 
     def test_grid_mismatch_rejected(self, small_grid, default_grid):
         u = gaussian_field(small_grid)

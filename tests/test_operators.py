@@ -20,6 +20,7 @@ from fracground import (
     validate_order,
 )
 from fracground.checks import conformance_checks, random_band_limited_field
+from fracground.operators import GL_WEIGHT_CUTOFF, gl_weights
 
 
 def rel_l2(a, b):
@@ -171,6 +172,19 @@ class TestComposedOperator:
 
 
 class TestGLOracle:
+    @pytest.mark.parametrize("max_terms", [0, 1, 15, 4096])
+    @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.75, 0.95, 1.0])
+    def test_weights_match_scalar_recurrence(self, alpha, max_terms):
+        reference = [1.0]
+        for k in range(1, max_terms + 1):
+            nxt = reference[-1] * (k - 1.0 - alpha) / k
+            if abs(nxt) < GL_WEIGHT_CUTOFF:
+                break
+            reference.append(nxt)
+        weights = gl_weights(alpha, max_terms)
+        assert len(weights) == len(reference)
+        assert np.all(np.abs(weights - reference) <= 1e-12 * np.abs(reference))
+
     def test_zero_field(self, default_grid):
         u = SpectralField.from_values(default_grid, np.zeros(default_grid.n_points))
         out = gl_oracle(u, 0.7, "left")

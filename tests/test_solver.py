@@ -120,6 +120,30 @@ class TestSolveGroundState:
         with pytest.raises(DivergedError):
             solve_ground_state(config)
 
+    @pytest.mark.parametrize("autonomous", [False, True])
+    def test_three_transforms_per_iteration(self, monkeypatch, autonomous):
+        # one ifft for K u_hat, one fft for the raw residual, one ifft for the
+        # preconditioned gradient; field arithmetic and projection make none
+        calls = []
+        for name in ("fft", "ifft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+
+        def transforms(max_iters):
+            calls.clear()
+            solve_ground_state(
+                SolveConfig(half_width=32.0, n_points=1024, residual_tol=1e-12,
+                            max_iters=max_iters, autonomous=autonomous)
+            )
+            return len(calls)
+
+        assert transforms(12) - transforms(2) <= 3 * 10
+
     def test_custom_init_round_trip(self, tmp_path):
         grid = make_grid(64.0, 4096)
         seed = gaussian_field(grid, width=1.7)
