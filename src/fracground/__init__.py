@@ -32,7 +32,6 @@ from .grid import (
     make_grid,
     shift_cells,
     spectral_l2_norm,
-    transform,
 )
 from .nonlinearity import (
     HypothesisCheck,
@@ -55,7 +54,6 @@ from .operators import (
     h_alpha_norm,
     h_alpha_norm_sq,
     multiplier_symbol,
-    resolvent_apply,
     sobolev_embedding_probe,
     validate_order,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "Grid1D",
     "SpectralField",
     "make_grid",
-    "transform",
     "lp_norm",
     "spectral_l2_norm",
     "inner",
@@ -116,7 +113,6 @@ __all__ = [
     "fractional_derivative",
     "fractional_integral",
     "composed_operator",
-    "resolvent_apply",
     "gl_oracle",
     "HAlphaNorm",
     "h_alpha_norm",

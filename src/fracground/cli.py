@@ -126,9 +126,7 @@ def _cmd_fiber_scan(values: dict, out_dir: str) -> int:
         raise ConfigError("fiber.*: need 0 < fiber.sigma_min < fiber.sigma_max and fiber.count >= 2")
     sigmas = np.geomspace(lo, hi, count)
     seed_field = config.init.build(config.grid())
-    scan = fiber_map(
-        seed_field, config.spec, config.alpha, sigmas, autonomous=config.autonomous
-    )
+    scan = fiber_map(seed_field, config.nonlinearity(), config.alpha, sigmas)
     with open(os.path.join(out_dir, "fiber.csv"), "w", encoding="utf-8") as fh:
         fh.write("sigma,psi\n")
         for s, v in zip(scan.sigmas, scan.values):

@@ -25,7 +25,6 @@ __all__ = [
     "Grid1D",
     "SpectralField",
     "make_grid",
-    "transform",
     "lp_norm",
     "spectral_l2_norm",
     "inner",
@@ -172,20 +171,6 @@ def values_from_spectrum(grid: Grid1D, spectrum: np.ndarray) -> tuple[np.ndarray
     imag_l2 = float(np.sqrt(grid.spacing * np.sum(complex_values.imag ** 2)))
     # a contiguous copy, so a field built on it does not keep the complex buffer
     return complex_values.real.copy(), imag_l2
-
-
-def transform(fld: SpectralField, direction: str) -> SpectralField:
-    """Recompute one representation of a field from the other.
-
-    ``forward`` fills the spectrum from the values; ``inverse`` fills the
-    values from the spectrum (real part).  Both directions are unitary up to
-    the documented scaling, so the round trip is the identity to rounding.
-    """
-    if direction == "forward":
-        return SpectralField.from_values(fld.grid, fld.values)
-    if direction == "inverse":
-        return SpectralField.from_spectrum(fld.grid, fld.spectrum)
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
 def lp_norm(fld: SpectralField, p: float) -> float:

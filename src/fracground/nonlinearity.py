@@ -4,13 +4,15 @@ The built-in family is
 
     f(t, xi) = (1 + a(t)) * max(xi, 0)^p,
 
-with an autonomous part fbar(xi) = max(xi, 0)^p and a nonnegative decaying
-perturbation weight a(t).  The family satisfies the structural hypotheses
-(sign, superquadratic growth with exponent theta, smallness near 0, growth
-ceiling p0, fiber monotonicity, and comparison with the autonomous part)
-whenever theta <= p + 1 < p0 + 1 and theta < p0 + 1.  Those cross-parameter
-relations are checked by the validator rather than the constructor, so that
-deliberately broken specs can be built and shown to fail.
+with a nonnegative decaying perturbation weight a(t).  Its autonomous part
+fbar(xi) = max(xi, 0)^p is the same family with a = 0, built by
+``spec.autonomous()``; every evaluator takes the spec it is given.  The
+family satisfies the structural hypotheses (sign, superquadratic growth with
+exponent theta, smallness near 0, growth ceiling p0, fiber monotonicity, and
+comparison with the autonomous part) whenever theta <= p + 1 < p0 + 1 and
+theta < p0 + 1.  Those cross-parameter relations are checked by the
+validator rather than the constructor, so that deliberately broken specs can
+be built and shown to fail.
 """
 
 from __future__ import annotations
@@ -85,33 +87,28 @@ class NonlinearitySpec:
             raise ValueError(f"p0 must be > 1, got {self.p0}")
 
     def autonomous(self) -> "NonlinearitySpec":
+        """The same exponents with the perturbation switched off (a = 0)."""
         return NonlinearitySpec(self.p, self.theta, self.p0, Perturbation("zero", 0.0, 1.0))
 
 
-def _weight(spec: NonlinearitySpec, t: ArrayLike, autonomous: bool) -> np.ndarray:
-    if autonomous:
-        return np.zeros_like(np.asarray(t, dtype=float))
-    return spec.perturbation.weight(t)
-
-
-def eval_f(spec: NonlinearitySpec, t: ArrayLike, xi: ArrayLike, *, autonomous: bool = False):
+def eval_f(spec: NonlinearitySpec, t: ArrayLike, xi: ArrayLike):
     """f(t, xi) = (1 + a(t)) * max(xi, 0)^p; zero for xi <= 0."""
     xi_plus = np.maximum(np.asarray(xi, dtype=float), 0.0)
-    out = (1.0 + _weight(spec, t, autonomous)) * xi_plus ** spec.p
+    out = (1.0 + spec.perturbation.weight(t)) * xi_plus ** spec.p
     return out if out.ndim else float(out)
 
 
-def eval_F(spec: NonlinearitySpec, t: ArrayLike, xi: ArrayLike, *, autonomous: bool = False):
+def eval_F(spec: NonlinearitySpec, t: ArrayLike, xi: ArrayLike):
     """Primitive F(t, xi) = (1 + a(t)) * max(xi, 0)^(p+1) / (p+1)."""
     xi_plus = np.maximum(np.asarray(xi, dtype=float), 0.0)
-    out = (1.0 + _weight(spec, t, autonomous)) * xi_plus ** (spec.p + 1.0) / (spec.p + 1.0)
+    out = (1.0 + spec.perturbation.weight(t)) * xi_plus ** (spec.p + 1.0) / (spec.p + 1.0)
     return out if out.ndim else float(out)
 
 
-def eval_df(spec: NonlinearitySpec, t: ArrayLike, xi: ArrayLike, *, autonomous: bool = False):
+def eval_df(spec: NonlinearitySpec, t: ArrayLike, xi: ArrayLike):
     """Partial derivative of f in xi: (1 + a(t)) * p * max(xi, 0)^(p-1)."""
     xi_plus = np.maximum(np.asarray(xi, dtype=float), 0.0)
-    out = (1.0 + _weight(spec, t, autonomous)) * spec.p * xi_plus ** (spec.p - 1.0)
+    out = (1.0 + spec.perturbation.weight(t)) * spec.p * xi_plus ** (spec.p - 1.0)
     return out if out.ndim else float(out)
 
 
@@ -294,7 +291,7 @@ def validate_hypotheses(spec: NonlinearitySpec, box: SampleBox | None = None) ->
 
     # comparison with the autonomous part:
     # 0 <= f - fbar <= a(t)(|xi| + |xi|^p0) and the set {f > fbar} has positive measure
-    fbar_vals = eval_f(spec, tt, xx, autonomous=True)
+    fbar_vals = eval_f(spec.autonomous(), tt, xx)
     diff = f_vals - fbar_vals
     envelope = spec.perturbation.weight(tt) * (np.abs(xx) + np.abs(xx) ** spec.p0)
     m_lo = float(np.min(diff))

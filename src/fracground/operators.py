@@ -37,7 +37,6 @@ __all__ = [
     "fractional_derivative",
     "fractional_integral",
     "composed_operator",
-    "resolvent_apply",
     "gl_oracle",
     "HAlphaNorm",
     "h_alpha_norm",
@@ -192,11 +191,6 @@ def composed_operator(u: SpectralField, alpha: float, *, strict: bool = False) -
     return apply_multiplier(u, multiplier_symbol(u.grid, alpha, "composed"))
 
 
-def resolvent_apply(u: SpectralField, alpha: float) -> SpectralField:
-    """Apply (|w|^(2 alpha) + 1)^(-1), the inverse of the composed operator plus identity."""
-    return apply_multiplier(u, multiplier_symbol(u.grid, alpha, "resolvent"))
-
-
 # -- Grunwald-Letnikov oracle ------------------------------------------------
 
 #: weights are dropped once they fall below this magnitude
@@ -273,7 +267,7 @@ def h_alpha_norm(u: SpectralField, alpha: float) -> HAlphaNorm:
 
     The seminorm is || |w|^alpha u_hat || with the Plancherel constant folded
     in; the time-domain variant is the L2 norm of the left fractional
-    derivative.  The two agree to near machine precision on resolved fields,
+    derivative, applied as its multiplier without a tail check.  The two agree to near machine precision on resolved fields,
     which is the numerical form of the norm-equivalence statement.
     """
     grid = u.grid
@@ -281,9 +275,7 @@ def h_alpha_norm(u: SpectralField, alpha: float) -> HAlphaNorm:
     scale = grid.frequency_step / (2.0 * np.pi)
     semi_sq = float(scale * np.sum(w_pow * np.abs(u.spectrum) ** 2))
     l2_sq = float(scale * np.sum(np.abs(u.spectrum) ** 2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SpectralTailWarning)
-        time_semi = lp_norm(fractional_derivative(u, alpha, "left"), 2)
+    time_semi = lp_norm(apply_multiplier(u, multiplier_symbol(grid, alpha, "left_deriv")), 2)
     return HAlphaNorm(math.sqrt(semi_sq), math.sqrt(semi_sq + l2_sq), time_semi)
 
 

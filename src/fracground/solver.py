@@ -88,6 +88,10 @@ class SolveConfig:
     def grid(self) -> Grid1D:
         return make_grid(self.half_width, self.n_points)
 
+    def nonlinearity(self) -> NonlinearitySpec:
+        """The spec the run evaluates: ``spec.autonomous()`` when autonomous, else ``spec``."""
+        return self.spec.autonomous() if self.autonomous else self.spec
+
 
 @dataclass(frozen=True)
 class VanishingProfile:
@@ -149,12 +153,12 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     the concentration point drifts beyond L/4.
     """
     grid = config.grid()
-    spec, alpha, autonomous = config.spec, config.alpha, config.autonomous
+    spec, alpha = config.nonlinearity(), config.alpha
     u0 = config.init.build(grid)
     if float(np.max(u0.values)) <= 0.0:
         raise NoPositivePartError("initial field has no positive part")
 
-    proj = nehari_project(u0, spec, alpha, autonomous=autonomous)
+    proj = nehari_project(u0, spec, alpha)
     u = proj.projected
     current_energy = proj.energy
     nehari_residual = proj.constraint_residual
@@ -167,7 +171,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     iterations = 0
 
     for _ in range(config.max_iters):
-        grad = gradient(u, spec, alpha, autonomous=autonomous)
+        grad = gradient(u, spec, alpha)
         residual_history.append(grad.residual_norm)
         if grad.residual_norm <= config.residual_tol:
             converged = True
@@ -176,7 +180,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
         while True:
             trial = u - tau * grad.precond_gradient
             try:
-                proj = nehari_project(trial, spec, alpha, autonomous=autonomous)
+                proj = nehari_project(trial, spec, alpha)
             except NoPositivePartError:
                 proj = None
             if proj is not None and proj.energy < current_energy:
@@ -193,21 +197,19 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
                     f"strict energy decrease: energy-resolution floor at residual "
                     f"{grad.residual_norm:.3e}, last accepted energy {current_energy!r}"
                 )
-        if config.recentre and autonomous:
+        if config.recentre and config.autonomous:
             diag = vanishing_diagnostic(u, config.window_radius)
             if abs(diag.argmax_y) > grid.half_width / 4.0:
                 cells = int(round(diag.argmax_y / grid.spacing))
                 u = shift_cells(u, -cells)
                 total_shift += cells * grid.spacing
-                current_energy = energy(u, spec, alpha, autonomous=autonomous).total
+                current_energy = energy(u, spec, alpha).total
         energy_history.append(current_energy)
     else:
         # max_iters exhausted; record the final residual for the report
-        residual_history.append(
-            gradient(u, spec, alpha, autonomous=autonomous).residual_norm
-        )
+        residual_history.append(gradient(u, spec, alpha).residual_norm)
 
-    level = energy(u, spec, alpha, autonomous=autonomous).total
+    level = energy(u, spec, alpha).total
     diag = vanishing_diagnostic(u, config.window_radius)
     return SolveReport(
         field=u,
@@ -237,10 +239,6 @@ class MountainPassReport:
     sweeps: int
 
 
-def _alpha_norm(grid: Grid1D, values: np.ndarray, alpha: float) -> float:
-    return float(np.sqrt(h_alpha_norm_sq(SpectralField.from_values(grid, values), alpha)))
-
-
 def mountain_pass_path(
     config: SolveConfig,
     endpoint_scale: float = 1.0,
@@ -257,45 +255,42 @@ def mountain_pass_path(
     nodes by arclength so the crossing region stays resolved.  Endpoints are
     pinned, so the polyline remains an admissible path throughout, and its
     maximal energy (located by nested sampling on every segment) is an upper
-    bound for the min-max level that decreases with the sweep count.
+    bound for the min-max level that decreases with the sweep count.  The
+    path is held as fields, whose arithmetic carries the spectrum, so only
+    the seed and the gradients make transforms.
     """
     if n_nodes < 5:
         raise ValueError(f"need at least 5 path nodes, got {n_nodes}")
     if n_deform < 0:
         raise ValueError(f"sweep count must be >= 0, got {n_deform}")
-    grid = config.grid()
-    spec, alpha, autonomous = config.spec, config.alpha, config.autonomous
-    u_init = config.init.build(grid)
+    spec, alpha = config.nonlinearity(), config.alpha
+    u_init = config.init.build(config.grid())
     if float(np.max(u_init.values)) <= 0.0:
         raise NoPositivePartError("path seed has no positive part")
 
-    def node_energy(values: np.ndarray) -> float:
-        return energy(
-            SpectralField.from_values(grid, values), spec, alpha, autonomous=autonomous
-        ).total
+    def node_energy(u: SpectralField) -> float:
+        return energy(u, spec, alpha).total
+
+    def distance(a: SpectralField, b: SpectralField) -> float:
+        return float(np.sqrt(h_alpha_norm_sq(b - a, alpha)))
 
     scale = float(endpoint_scale)
-    while node_energy(scale * u_init.values) >= 0.0:
+    while node_energy(scale * u_init) >= 0.0:
         scale *= 2.0
         if scale > 1e6:
             raise EndpointNotNegativeError("endpoint scale exceeded 1e6 without negative energy")
-    endpoint = scale * u_init.values
+    endpoint = scale * u_init
 
     path = [lam * endpoint for lam in np.linspace(0.0, 1.0, n_nodes)]
-    initial_energies = [node_energy(v) for v in path]
-
-    def precond_grad(values: np.ndarray) -> np.ndarray:
-        return gradient(
-            SpectralField.from_values(grid, values), spec, alpha, autonomous=autonomous
-        ).precond_gradient.values
+    initial_energies = [node_energy(u) for u in path]
 
     def relax(i: int, energies: list[float]) -> None:
-        g = precond_grad(path[i])
-        g_norm = _alpha_norm(grid, g, alpha)
+        grad = gradient(path[i], spec, alpha)
+        g, g_norm = grad.precond_gradient, grad.residual_norm
         if g_norm == 0.0:
             return
-        d_prev = _alpha_norm(grid, path[i] - path[i - 1], alpha)
-        d_next = _alpha_norm(grid, path[i + 1] - path[i], alpha)
+        d_prev = distance(path[i - 1], path[i])
+        d_next = distance(path[i], path[i + 1])
         step = min(0.3, 0.5 * min(d_prev, d_next) / g_norm)
         for _ in range(25):
             candidate = path[i] - step * g
@@ -307,9 +302,7 @@ def mountain_pass_path(
             step *= 0.5
 
     def reparametrize() -> None:
-        lengths = [
-            _alpha_norm(grid, path[i + 1] - path[i], alpha) for i in range(len(path) - 1)
-        ]
+        lengths = [distance(path[i], path[i + 1]) for i in range(len(path) - 1)]
         cum = np.concatenate([[0.0], np.cumsum(lengths)])
         if cum[-1] == 0.0:
             return
@@ -326,7 +319,7 @@ def mountain_pass_path(
         path[:] = resampled
 
     for _ in range(n_deform):
-        energies = [node_energy(v) for v in path]
+        energies = [node_energy(u) for u in path]
         top = int(np.argmax(energies))
         if 0 < top < n_nodes - 1:
             for _ in range(3):
@@ -337,7 +330,7 @@ def mountain_pass_path(
             relax(i, energies)
         reparametrize()
 
-    def segment_max(a: np.ndarray, b: np.ndarray, n_sub: int = 17, depth: int = 4) -> float:
+    def segment_max(a: SpectralField, b: SpectralField, n_sub: int = 17, depth: int = 4) -> float:
         lo, hi = 0.0, 1.0
         best = -np.inf
         for _ in range(depth):
@@ -349,7 +342,7 @@ def mountain_pass_path(
             lo, hi = max(0.0, lams[j] - span), min(1.0, lams[j] + span)
         return best
 
-    node_energies = [node_energy(v) for v in path]
+    node_energies = [node_energy(u) for u in path]
     path_max = max(segment_max(path[i], path[i + 1]) for i in range(len(path) - 1))
     return MountainPassReport(
         path_max_energy=float(path_max),
@@ -388,7 +381,7 @@ def compare_levels(config: SolveConfig) -> LevelComparison:
     autonomous = solve_ground_state(autonomous_cfg)
     gap = autonomous.level - perturbed.level
     strict = gap > 10.0 * config.residual_tol
-    one_shot = nehari_project(autonomous.field, config.spec, config.alpha, autonomous=False)
+    one_shot = nehari_project(autonomous.field, config.spec, config.alpha)
     one_shot_strict = one_shot.energy < autonomous.level
     return LevelComparison(
         c=perturbed.level,

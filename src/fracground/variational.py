@@ -6,7 +6,8 @@ Rays sigma -> sigma * u carry a one-dimensional restriction of the energy
 (the fiber map) whose unique positive maximizer defines the projection onto
 the stationarity manifold {u != 0 : <grad E(u), u> = 0}; minimizing the
 projected energy over trial fields gives an upper bound for the least
-positive critical level.
+positive critical level.  Every function takes the nonlinearity it is to
+evaluate; the autonomous problem is ``spec.autonomous()``.
 """
 
 from __future__ import annotations
@@ -52,13 +53,11 @@ class EnergyBreakdown:
     total: float
 
 
-def energy(
-    u: SpectralField, spec: NonlinearitySpec, alpha: float, *, autonomous: bool = False
-) -> EnergyBreakdown:
+def energy(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> EnergyBreakdown:
     """Energy 1/2 ||u||_alpha^2 - integral F(t, u)."""
     alpha = _validate_solver_order(alpha)
     quad = 0.5 * h_alpha_norm_sq(u, alpha)
-    pot = float(u.grid.spacing * np.sum(eval_F(spec, u.grid.nodes, u.values, autonomous=autonomous)))
+    pot = float(u.grid.spacing * np.sum(eval_F(spec, u.grid.nodes, u.values)))
     return EnergyBreakdown(quad, pot, quad - pot)
 
 
@@ -69,9 +68,7 @@ class GradientResult:
     residual_norm: float
 
 
-def gradient(
-    u: SpectralField, spec: NonlinearitySpec, alpha: float, *, autonomous: bool = False
-) -> GradientResult:
+def gradient(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> GradientResult:
     """L2 residual (|w|^(2a) + 1) u - f(., u) and its H^alpha representative.
 
     The preconditioned gradient is the raw residual smoothed by the resolvent
@@ -82,7 +79,7 @@ def gradient(
     grid = u.grid
     _, k_symbol, _ = _even_symbols(grid, alpha)
     linear_part = apply_multiplier(u, k_symbol)
-    f_vals = eval_f(spec, grid.nodes, u.values, autonomous=autonomous)
+    f_vals = eval_f(spec, grid.nodes, u.values)
     raw = SpectralField.from_values(grid, linear_part.values - f_vals)
     precond = apply_multiplier(raw, multiplier_symbol(grid, alpha, "resolvent"))
     res_norm = float(np.sqrt(h_alpha_norm_sq(precond, alpha)))
@@ -96,23 +93,11 @@ class FiberScan:
     derivative_sign_changes: int
 
 
-def _potential_on_ray(
-    u: SpectralField, spec: NonlinearitySpec, sigma: float, autonomous: bool
-) -> float:
-    return float(
-        u.grid.spacing
-        * np.sum(eval_F(spec, u.grid.nodes, sigma * u.values, autonomous=autonomous))
-    )
+def _potential_on_ray(u: SpectralField, spec: NonlinearitySpec, sigma: float) -> float:
+    return float(u.grid.spacing * np.sum(eval_F(spec, u.grid.nodes, sigma * u.values)))
 
 
-def fiber_map(
-    u: SpectralField,
-    spec: NonlinearitySpec,
-    alpha: float,
-    sigma_grid,
-    *,
-    autonomous: bool = False,
-) -> FiberScan:
+def fiber_map(u: SpectralField, spec: NonlinearitySpec, alpha: float, sigma_grid) -> FiberScan:
     """Sample psi(sigma) = E(sigma u) along a ray, counting slope sign changes.
 
     The quadratic coefficient is computed once; only the potential is
@@ -127,9 +112,7 @@ def fiber_map(
     if not np.any(u.values != 0):
         raise ValueError("fiber map requires a nonzero field")
     norm_sq = h_alpha_norm_sq(u, alpha)
-    values = np.array(
-        [0.5 * s * s * norm_sq - _potential_on_ray(u, spec, s, autonomous) for s in sigmas]
-    )
+    values = np.array([0.5 * s * s * norm_sq - _potential_on_ray(u, spec, s) for s in sigmas])
     slopes = np.diff(values)
     signs = np.sign(slopes[slopes != 0.0])
     changes = int(np.count_nonzero(np.diff(signs) != 0))
@@ -144,9 +127,7 @@ class NehariResult:
     energy: float
 
 
-def nehari_project(
-    u: SpectralField, spec: NonlinearitySpec, alpha: float, *, autonomous: bool = False
-) -> NehariResult:
+def nehari_project(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> NehariResult:
     """Scale a field onto the stationarity manifold along its ray.
 
     f(t, .) is homogeneous of degree p, so the fiber equation
@@ -163,7 +144,7 @@ def nehari_project(
     nodes, h = u.grid.nodes, u.grid.spacing
 
     def pairing(values: np.ndarray) -> float:
-        return h * float(np.sum(eval_f(spec, nodes, values, autonomous=autonomous) * values))
+        return h * float(np.sum(eval_f(spec, nodes, values) * values))
 
     unit_norm_sq = h_alpha_norm_sq(u, alpha) / peak / peak
     unit_sigma = (unit_norm_sq / pairing(u.values / peak)) ** (1.0 / (spec.p - 1.0))
@@ -171,7 +152,7 @@ def nehari_project(
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise NoPositivePartError(f"fiber scale {sigma!r} is not finite and positive")
     projected = sigma * u
-    breakdown = energy(projected, spec, alpha, autonomous=autonomous)
+    breakdown = energy(projected, spec, alpha)
     # <grad E(w), w> / ||w||_alpha^2 at w = sigma u, with the norm of w itself
     residual = 1.0 - pairing(projected.values) / (2.0 * breakdown.quadratic)
     return NehariResult(sigma, projected, residual, breakdown.total)
@@ -185,13 +166,7 @@ class LevelEstimate:
     failures: tuple[tuple[int, str], ...]
 
 
-def estimate_level(
-    spec: NonlinearitySpec,
-    alpha: float,
-    candidates,
-    *,
-    autonomous: bool = False,
-) -> LevelEstimate:
+def estimate_level(spec: NonlinearitySpec, alpha: float, candidates) -> LevelEstimate:
     """Upper bound for the least critical level: min projected energy over candidates.
 
     Candidates whose projection fails (no positive part) are skipped and
@@ -203,7 +178,7 @@ def estimate_level(
     best_idx = -1
     for i, cand in enumerate(candidates):
         try:
-            result = nehari_project(cand, spec, alpha, autonomous=autonomous)
+            result = nehari_project(cand, spec, alpha)
         except NoPositivePartError as exc:
             failures.append((i, str(exc)))
             energies.append(np.nan)

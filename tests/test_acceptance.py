@@ -128,14 +128,14 @@ def test_criterion_4_nehari_closed_form(grid_default):
     worst_sigma = 0.0
     for _ in range(50):
         u = positive_seed(grid_default, rng)
-        result = nehari_project(u, SPEC, 0.75, autonomous=True)
+        result = nehari_project(u, SPEC.autonomous(), 0.75)
         norm_sq = h_alpha_norm_sq(u, 0.75)
         quartic = grid_default.spacing * np.sum(np.maximum(u.values, 0.0) ** 4)
         closed_form = (norm_sq / quartic) ** 0.5
         worst_sigma = max(worst_sigma, abs(result.sigma - closed_form) / closed_form)
         assert abs(result.sigma - closed_form) <= 1e-10 * closed_form
         sigmas = np.geomspace(result.sigma / 30.0, result.sigma * 30.0, 64)
-        scan = fiber_map(u, SPEC, 0.75, sigmas, autonomous=True)
+        scan = fiber_map(u, SPEC.autonomous(), 0.75, sigmas)
         assert scan.derivative_sign_changes == 1
     print(
         f"\nACCEPTANCE 4 PASS: 50 projections match the closed form "

@@ -37,7 +37,7 @@ class TestEvaluation:
     def test_perturbed_value_at_origin(self):
         spec = spec_with(amplitude=0.5, width=1.0)
         assert eval_f(spec, 0.0, 1.0) == pytest.approx(1.5)
-        assert eval_f(spec, 0.0, 1.0, autonomous=True) == pytest.approx(1.0)
+        assert eval_f(spec.autonomous(), 0.0, 1.0) == pytest.approx(1.0)
 
     def test_primitive_derivative_matches_f(self):
         spec = NonlinearitySpec()

@@ -27,6 +27,21 @@ def autonomous_config(**kwargs):
     return SolveConfig(**defaults)
 
 
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """A list that grows by one on every numpy.fft.fft / ifft call."""
+    calls = []
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 class TestVanishingDiagnostic:
     def test_bump_location(self, default_grid):
         u = gaussian_field(default_grid, center=5.0, width=0.8)
@@ -184,12 +199,45 @@ class TestMountainPass:
         report = mountain_pass_path(config, n_deform=0)
         assert report.endpoint_scale > 1.0
 
+    def test_transform_budget(self, fft_calls):
+        # the path is held as fields: only the seed and the relax gradients
+        # (three transforms each, at most n_nodes + 1 per sweep) transform
+        config = SolveConfig(half_width=32.0, n_points=1024, autonomous=True)
+        n_nodes = 9
+
+        def transforms(n_deform):
+            fft_calls.clear()
+            mountain_pass_path(config, n_nodes=n_nodes, n_deform=n_deform)
+            return len(fft_calls)
+
+        assert transforms(0) == 1
+        assert transforms(3) - transforms(1) <= 2 * 3 * (n_nodes + 1)
+
     def test_endpoint_not_negative_error(self):
         grid_cfg = autonomous_config(
             half_width=32.0, n_points=1024, init=InitSpec(amplitude=1e-12, width=0.5)
         )
         with pytest.raises(EndpointNotNegativeError):
             mountain_pass_path(grid_cfg, n_deform=0)
+
+
+class TestAutonomy:
+    def test_nonlinearity_resolves_the_spec(self):
+        spec = NonlinearitySpec(p=2.5, theta=3.5, p0=3.0)
+        assert SolveConfig(spec=spec).nonlinearity() is spec
+        resolved = SolveConfig(spec=spec, autonomous=True).nonlinearity()
+        assert resolved.perturbation.kind == "zero"
+        assert (resolved.p, resolved.theta, resolved.p0) == (spec.p, spec.theta, spec.p0)
+
+    def test_flag_equals_autonomous_spec(self):
+        # without recentring, autonomy is nothing but the a = 0 spec
+        grid = dict(half_width=32.0, n_points=1024, recentre=False)
+        by_flag = solve_ground_state(SolveConfig(autonomous=True, **grid))
+        by_spec = solve_ground_state(
+            SolveConfig(spec=NonlinearitySpec().autonomous(), autonomous=False, **grid)
+        )
+        assert by_flag.level == by_spec.level
+        assert by_flag.iterations == by_spec.iterations
 
 
 class TestCompareLevels:

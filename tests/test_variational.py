@@ -48,7 +48,7 @@ class TestEnergy:
     def test_classical_soliton_energy(self, default_grid):
         # -u'' + u = u^3 has the soliton sqrt(2) sech(t) with energy 4/3
         u = SpectralField.from_values(default_grid, np.sqrt(2) / np.cosh(default_grid.nodes))
-        result = energy(u, SPEC, 1.0, autonomous=True)
+        result = energy(u, SPEC.autonomous(), 1.0)
         assert abs(result.total - 4.0 / 3.0) < 1e-3
 
     def test_windowed_mode_quadratic_form(self, default_grid):
@@ -88,7 +88,7 @@ class TestGradient:
 
     def test_classical_soliton_near_critical(self, default_grid):
         u = SpectralField.from_values(default_grid, np.sqrt(2) / np.cosh(default_grid.nodes))
-        result = gradient(u, SPEC, 1.0, autonomous=True)
+        result = gradient(u, SPEC.autonomous(), 1.0)
         assert result.residual_norm <= 1e-3
 
 
@@ -102,7 +102,7 @@ class TestFiberMap:
         norm_sq = h_alpha_norm_sq(u, 0.75)
         quartic = default_grid.spacing * np.sum(np.maximum(u.values, 0.0) ** 4)
         sigmas = np.geomspace(0.05, 5.0, 40)
-        scan = fiber_map(u, SPEC, 0.75, sigmas, autonomous=True)
+        scan = fiber_map(u, SPEC.autonomous(), 0.75, sigmas)
         expected = 0.5 * sigmas ** 2 * norm_sq - 0.25 * sigmas ** 4 * quartic
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(scan.values - expected)) < 1e-10 * scale
@@ -127,7 +127,7 @@ class TestNehariProjection:
     def test_pure_power_closed_form(self, default_grid, rng):
         for _ in range(10):
             u = positive_random_field(default_grid, rng)
-            result = nehari_project(u, SPEC, 0.75, autonomous=True)
+            result = nehari_project(u, SPEC.autonomous(), 0.75)
             norm_sq = h_alpha_norm_sq(u, 0.75)
             quartic = default_grid.spacing * np.sum(np.maximum(u.values, 0.0) ** 4)
             closed_form = (norm_sq / quartic) ** 0.5
@@ -182,9 +182,9 @@ class TestNehariProjection:
 class TestTranslationInvariance:
     def test_autonomous_energy_shift_invariant(self, default_grid):
         u = gaussian_field(default_grid, center=3.0, width=1.5)
-        base = energy(u, SPEC, 0.75, autonomous=True).total
+        base = energy(u, SPEC.autonomous(), 0.75).total
         for cells in (1, 57, 1024):
-            shifted = energy(shift_cells(u, cells), SPEC, 0.75, autonomous=True).total
+            shifted = energy(shift_cells(u, cells), SPEC.autonomous(), 0.75).total
             assert abs(shifted - base) <= 1e-12 * max(1.0, abs(base))
 
 
@@ -225,7 +225,7 @@ class TestEstimateLevel:
             )
             for _ in range(20)
         ]
-        estimate = estimate_level(SPEC, 0.75, candidates, autonomous=True)
+        estimate = estimate_level(SPEC.autonomous(), 0.75, candidates)
         report = solve_ground_state(
             SolveConfig(alpha=0.75, autonomous=True, residual_tol=1e-7)
         )
