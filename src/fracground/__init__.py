@@ -32,6 +32,7 @@ from .grid import (
     make_grid,
     shift_cells,
     spectral_l2_norm,
+    translate,
 )
 from .nonlinearity import (
     HypothesisCheck,
@@ -103,6 +104,7 @@ __all__ = [
     "inner",
     "gaussian_field",
     "shift_cells",
+    "translate",
     "field_to_csv",
     "field_from_csv",
     "field_to_json",

@@ -24,11 +24,11 @@ import numpy as np
 from . import __version__
 from .checks import conformance_checks
 from .config import DEFAULTS, ConfigError, build_sample_box, build_solve_config, build_spec, load_config
-from .errors import FracgroundError
+from .errors import DivergedError, FracgroundError
 from .grid import field_to_csv, make_grid
 from .nonlinearity import validate_hypotheses
 from .operators import validate_order
-from .solver import compare_levels, solve_ground_state
+from .solver import SolveReport, compare_levels, solve_ground_state
 from .variational import fiber_map
 
 SCHEMA_VERSION = 1
@@ -66,9 +66,7 @@ def _write_manifest(out_dir: str, subcommand: str, values: dict) -> None:
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _cmd_solve(values: dict, out_dir: str) -> int:
-    config = build_solve_config(values)
-    report = solve_ground_state(config)
+def _write_solve_artifacts(report: SolveReport, out_dir: str) -> None:
     payload = {
         "schema": SCHEMA_VERSION,
         "level": report.level,
@@ -90,6 +88,17 @@ def _cmd_solve(values: dict, out_dir: str) -> int:
         fh.write("iteration,residual\n")
         for i, res in enumerate(report.residual_history):
             fh.write(f"{i},{res!r}\n")
+
+
+def _cmd_solve(values: dict, out_dir: str) -> int:
+    config = build_solve_config(values)
+    try:
+        report = solve_ground_state(config)
+    except DivergedError as exc:
+        # the run stopped at the energy-resolution floor: keep what it reached
+        _write_solve_artifacts(exc.report, out_dir)
+        raise
+    _write_solve_artifacts(report, out_dir)
     print(
         f"level={report.level:.12g} residual={report.residual_history[-1]:.3e} "
         f"iterations={report.iterations} converged={report.converged}"

@@ -1,5 +1,12 @@
 """Exception and warning types shared across the package."""
 
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .solver import SolveReport
+
 
 class FracgroundError(Exception):
     """Base class for errors raised by this package."""
@@ -23,8 +30,13 @@ class DivergedError(FracgroundError, RuntimeError):
     A step is accepted only if it strictly lowers the energy, so this is also
     how a run ends at the energy-resolution floor; the message names the
     residual at which the energy stopped decreasing and the last accepted
-    energy.
+    energy.  ``report`` is the unconverged ``SolveReport`` up to the last
+    accepted iterate, so the run can still be written out.
     """
+
+    def __init__(self, message: str, report: SolveReport) -> None:
+        super().__init__(message)
+        self.report = report
 
 
 class EndpointNotNegativeError(FracgroundError, RuntimeError):

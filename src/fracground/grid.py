@@ -30,6 +30,7 @@ __all__ = [
     "inner",
     "gaussian_field",
     "shift_cells",
+    "translate",
     "field_to_csv",
     "field_from_csv",
     "field_to_json",
@@ -213,6 +214,23 @@ def gaussian_field(
 def shift_cells(fld: SpectralField, n_cells: int) -> SpectralField:
     """Translate a field by an integer number of grid cells (periodic)."""
     return SpectralField.from_values(fld.grid, np.roll(fld.values, int(n_cells)))
+
+
+def translate(fld: SpectralField, shift: float) -> SpectralField:
+    """Translate a field by any real shift, t -> u(t - shift) (periodic).
+
+    The spectrum is multiplied by exp(-i w shift), which leaves every spectral
+    norm unchanged.  The Nyquist frequency has no sign, so its factor keeps
+    only the real part cos(w shift), which keeps the values real (and scales
+    that one mode, negligible on resolved fields); a whole-cell shift is then
+    ``shift_cells`` up to rounding.
+    """
+    grid = fld.grid
+    phase = np.exp(-1j * float(shift) * grid.frequencies)
+    phase[grid.nyquist_index] = phase[grid.nyquist_index].real
+    spectrum = phase * fld.spectrum
+    values, _ = values_from_spectrum(grid, spectrum)
+    return SpectralField._join(grid, values, spectrum)
 
 
 # -- serialization ----------------------------------------------------------

@@ -2,12 +2,17 @@
 
 The solver runs preconditioned descent with reprojection onto the
 stationarity manifold after every step, so iterates never collapse to zero.
-A step is accepted only if it strictly lowers the energy, so accepted
-energies strictly decrease.  A sliding-window mass diagnostic locates where
-the iterate concentrates; in the translation-invariant (autonomous) case the
-iterate is recentred when the concentration point drifts too far, mirroring
-the translation normalization that restores compactness in the underlying
-analysis.
+The default step is the full one, which makes the descent the Petviashvili
+iteration; a step is accepted only if it strictly lowers the energy, so
+accepted energies strictly decrease and a bad full step is halved.  When the
+perturbation a(t) is not identically zero, the initial field is first moved
+to its translate of least projected energy: the perturbed level lies strictly
+below the autonomous one, and translation is the one direction along which
+descent from an off-centre start would crawl.  A sliding-window mass
+diagnostic locates where the iterate concentrates; in the
+translation-invariant (autonomous) case the iterate is recentred when the
+concentration point drifts too far, mirroring the translation normalization
+that restores compactness in the underlying analysis.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .errors import DivergedError, EndpointNotNegativeError, NoPositivePartError
 from .grid import Grid1D, SpectralField, gaussian_field, load_field_json, make_grid, shift_cells
 from .nonlinearity import NonlinearitySpec
 from .operators import h_alpha_norm_sq
-from .variational import _validate_solver_order, energy, gradient, nehari_project
+from .variational import _best_translate, _validate_solver_order, energy, gradient, nehari_project
 
 __all__ = [
     "InitSpec",
@@ -70,7 +75,7 @@ class SolveConfig:
     spec: NonlinearitySpec = field(default_factory=NonlinearitySpec)
     autonomous: bool = False
     init: InitSpec = field(default_factory=InitSpec)
-    step: float = 0.5
+    step: float = 1.0
     max_iters: int = 2000
     residual_tol: float = 1e-7
     recentre: bool = True
@@ -141,10 +146,19 @@ class SolveReport:
 def solve_ground_state(config: SolveConfig) -> SolveReport:
     """Preconditioned descent with reprojection: u <- project(u - tau * grad).
 
+    With K = 1 + |w|^(2 alpha) the preconditioned gradient is u - K^-1 f(u),
+    so the default full step tau = 1 tries K^-1 f(u), scaled onto the
+    manifold by the projection: the Petviashvili iteration.  When a(t) is
+    not identically zero, the initial field is first moved to the translate
+    of least projected energy (``variational._best_translate``), so the
+    descent does not crawl along the near-neutral translation mode; with
+    a = 0 every translate has the same energy and the field is left as it is.
+
     Stops when the preconditioned residual norm drops below the configured
     tolerance or the iteration budget runs out.  The step is halved whenever
     a trial projection fails to lower the energy strictly and restored after
-    every accepted step; underflow of the step below 1e-8 raises DivergedError.
+    every accepted step; underflow of the step below 1e-8 raises DivergedError,
+    which carries the report up to the last accepted iterate.
     A trial whose energy merely equals the current one (a null step, as when
     tau * gradient is below the rounding of u) is not progress, so a
     residual_tol below the energy-resolution floor (about 2e-8 at L = 32,
@@ -157,6 +171,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     u0 = config.init.build(grid)
     if float(np.max(u0.values)) <= 0.0:
         raise NoPositivePartError("initial field has no positive part")
+    u0, _ = _best_translate(u0, spec)
 
     proj = nehari_project(u0, spec, alpha)
     u = proj.projected
@@ -167,16 +182,30 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     energy_history = [current_energy]
     tau = config.step
     total_shift = 0.0
-    converged = False
     iterations = 0
+
+    def report(converged: bool) -> SolveReport:
+        diag = vanishing_diagnostic(u, config.window_radius)
+        return SolveReport(
+            field=u,
+            level=energy(u, spec, alpha).total,
+            residual_history=residual_history,
+            sigma_history=sigma_history,
+            energy_history=energy_history,
+            iterations=iterations,
+            converged=converged,
+            vanishing_profile=diag.pairs(),
+            max_mass=diag.max_mass,
+            argmax_y=diag.argmax_y,
+            recentred_shift=total_shift,
+            nehari_residual=nehari_residual,
+        )
 
     for _ in range(config.max_iters):
         grad = gradient(u, spec, alpha)
         residual_history.append(grad.residual_norm)
         if grad.residual_norm <= config.residual_tol:
-            converged = True
-            break
-        iterations += 1
+            return report(True)
         while True:
             trial = u - tau * grad.precond_gradient
             try:
@@ -195,8 +224,10 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
                 raise DivergedError(
                     f"descent step underflowed below {_STEP_UNDERFLOW:.0e} without a "
                     f"strict energy decrease: energy-resolution floor at residual "
-                    f"{grad.residual_norm:.3e}, last accepted energy {current_energy!r}"
+                    f"{grad.residual_norm:.3e}, last accepted energy {current_energy!r}",
+                    report(False),
                 )
+        iterations += 1
         if config.recentre and config.autonomous:
             diag = vanishing_diagnostic(u, config.window_radius)
             if abs(diag.argmax_y) > grid.half_width / 4.0:
@@ -205,26 +236,10 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
                 total_shift += cells * grid.spacing
                 current_energy = energy(u, spec, alpha).total
         energy_history.append(current_energy)
-    else:
-        # max_iters exhausted; record the final residual for the report
-        residual_history.append(gradient(u, spec, alpha).residual_norm)
 
-    level = energy(u, spec, alpha).total
-    diag = vanishing_diagnostic(u, config.window_radius)
-    return SolveReport(
-        field=u,
-        level=level,
-        residual_history=residual_history,
-        sigma_history=sigma_history,
-        energy_history=energy_history,
-        iterations=iterations,
-        converged=converged,
-        vanishing_profile=diag.pairs(),
-        max_mass=diag.max_mass,
-        argmax_y=diag.argmax_y,
-        recentred_shift=total_shift,
-        nehari_residual=nehari_residual,
-    )
+    # max_iters exhausted; record the final residual for the report
+    residual_history.append(gradient(u, spec, alpha).residual_norm)
+    return report(False)
 
 
 # -- mountain-pass path --------------------------------------------------------

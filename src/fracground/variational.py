@@ -6,8 +6,10 @@ Rays sigma -> sigma * u carry a one-dimensional restriction of the energy
 (the fiber map) whose unique positive maximizer defines the projection onto
 the stationarity manifold {u != 0 : <grad E(u), u> = 0}; minimizing the
 projected energy over trial fields gives an upper bound for the least
-positive critical level.  Every function takes the nonlinearity it is to
-evaluate; the autonomous problem is ``spec.autonomous()``.
+positive critical level.  By the same homogeneity, the projected energy of
+a translate falls as one potential integral rises, which the solver's
+translation search maximizes.  Every function takes the nonlinearity it is
+to evaluate; the autonomous problem is ``spec.autonomous()``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoPositivePartError
-from .grid import SpectralField
+from .grid import SpectralField, translate
 # eval_df is unused here; bench/tracer.py binds it in this module and fails if it is missing
 from .nonlinearity import NonlinearitySpec, eval_F, eval_df, eval_f
 from .operators import _even_symbols, apply_multiplier, h_alpha_norm_sq, multiplier_symbol
@@ -156,6 +158,56 @@ def nehari_project(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> Ne
     # <grad E(w), w> / ||w||_alpha^2 at w = sigma u, with the norm of w itself
     residual = 1.0 - pairing(projected.values) / (2.0 * breakdown.quadratic)
     return NehariResult(sigma, projected, residual, breakdown.total)
+
+
+#: cap on the sub-cell evaluations of the translation search
+_TRANSLATE_EVALS = 5
+
+
+def _best_translate(u: SpectralField, spec: NonlinearitySpec) -> tuple[SpectralField, float]:
+    """Translate u to the shift s that minimizes its projected energy; return (field, s).
+
+    A spectral shift leaves ||u||_alpha unchanged, so by homogeneity the
+    projected energy falls as J(s) = h sum (1 + a(t)) u_+(t - s)^(p+1) rises.
+    Over whole cells J is one circular correlation, searched globally; the
+    best cell is refined by successive parabolic interpolation through
+    ``translate``, and the first evaluation that does not raise J strictly
+    marks its rounding floor and ends the search.  With a = 0 the field is
+    returned as it is: J is then flat, and a search would move u by rounding.
+    """
+    grid = u.grid
+    h, n = grid.spacing, grid.n_points
+    coeff = 1.0 + spec.perturbation.weight(grid.nodes)
+    if np.all(coeff == 1.0):
+        return u, 0.0
+    peak, power = float(np.max(u.values)), spec.p + 1.0
+
+    def integral(fld: SpectralField) -> float:
+        return h * float(np.sum(coeff * np.maximum(fld.values / peak, 0.0) ** power))
+
+    unit_power = np.maximum(u.values / peak, 0.0) ** power
+    cells = h * np.fft.irfft(np.fft.rfft(coeff) * np.conj(np.fft.rfft(unit_power)), n)
+    k = int(np.argmax(cells))
+    k = k - n if k >= n // 2 else k
+    xs = [(k - 1) * h, k * h, (k + 1) * h]
+    js = [cells[(k - 1) % n], cells[k], cells[(k + 1) % n]]
+    best = None
+    for _ in range(_TRANSLATE_EVALS):
+        (a, b, c), (ja, jb, jc) = xs, js
+        den = (b - a) * (jb - jc) - (b - c) * (jb - ja)
+        if den == 0.0:
+            break
+        x = b - 0.5 * ((b - a) ** 2 * (jb - jc) - (b - c) ** 2 * (jb - ja)) / den
+        if not a < x < c:
+            break
+        moved = translate(u, x)
+        jx = integral(moved)
+        if jx <= jb:
+            break
+        best = moved
+        xs, js = ([b, x, c], [jb, jx, jc]) if x > b else ([a, x, b], [ja, jx, jb])
+    shift = xs[1]
+    return (best if best is not None else translate(u, shift)), shift
 
 
 @dataclass(frozen=True)

@@ -49,14 +49,22 @@ class TestSolveCommand:
 
     def test_diverged_exits_1(self, tmp_path, capsys):
         # a tolerance far below the energy-resolution floor ends in DivergedError
+        out = tmp_path / "x"
         code = run(
             [
-                "solve", "--output-dir", str(tmp_path / "x"),
+                "solve", "--output-dir", str(out),
                 "--set", "N=1024", "--set", "L=32", "--set", "residual_tol=1e-12",
             ]
         )
         assert code == 1
-        assert "DivergedError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "DivergedError" in err
+        # the run up to the last accepted iterate is still written out
+        for name in ("report.json", "field.csv", "residuals.csv"):
+            assert (out / name).exists(), name
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False
+        assert f"at residual {report['final_residual']:.3e}," in err
 
     def test_config_file_and_override_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"

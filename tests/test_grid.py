@@ -15,8 +15,11 @@ from fracground import (
     make_grid,
     shift_cells,
     spectral_l2_norm,
+    translate,
 )
 from fracground.checks import random_band_limited_field
+from fracground.grid import values_from_spectrum
+from fracground.operators import h_alpha_norm_sq
 
 
 class TestMakeGrid:
@@ -161,6 +164,30 @@ class TestFieldAlgebra:
     def test_inner_product(self, small_grid):
         u = gaussian_field(small_grid, width=1.0)
         assert abs(inner(u, u) - lp_norm(u, 2) ** 2) < 1e-14
+
+
+class TestTranslate:
+    @pytest.mark.parametrize("cells", [1, -7, 100, 511, -512])
+    def test_whole_cells_match_shift_cells(self, small_grid, rng, cells):
+        u = random_band_limited_field(small_grid, rng)
+        moved = translate(u, cells * small_grid.spacing)
+        assert np.max(np.abs(moved.values - shift_cells(u, cells).values)) <= 1e-12
+
+    @pytest.mark.parametrize("shift", [0.3, -1.7, 0.01 / 3, 20.123])
+    def test_round_trip_and_invariants(self, small_grid, rng, shift):
+        u = random_band_limited_field(small_grid, rng)
+        moved = translate(u, shift)
+        back = translate(moved, -shift)
+        assert np.max(np.abs(back.values - u.values)) <= 1e-12
+        # the spectral shift keeps every spectral norm: the fact the translation search rests on
+        for alpha in (0.6, 0.75, 1.0):
+            norm_sq = h_alpha_norm_sq(u, alpha)
+            assert abs(h_alpha_norm_sq(moved, alpha) - norm_sq) <= 1e-12 * norm_sq
+        # a real Nyquist factor keeps the values real, also for a field with Nyquist content
+        noise = SpectralField.from_values(small_grid, rng.standard_normal(small_grid.n_points))
+        for fld in (u, noise):
+            _, imag_l2 = values_from_spectrum(small_grid, translate(fld, shift).spectrum)
+            assert imag_l2 <= 1e-12
 
 
 class TestSerialization:

@@ -19,6 +19,7 @@ from fracground import (
     vanishing_diagnostic,
 )
 from fracground.grid import save_field_json
+from fracground.variational import _best_translate
 
 
 def autonomous_config(**kwargs):
@@ -177,6 +178,39 @@ class TestSolveGroundState:
             SolveConfig(alpha=0.4)
         with pytest.raises(ValueError, match="alpha"):
             SolveConfig(alpha=1.2)
+
+
+class TestTranslationSearch:
+    @pytest.mark.parametrize("center", [0.3, 0.7, 1.5])
+    def test_shift_centres_the_bump(self, default_grid, center):
+        # a(t) is a Gaussian bump at 0, so the best translate of a Gaussian centres it
+        u = gaussian_field(default_grid, center=center)
+        moved, shift = _best_translate(u, NonlinearitySpec())
+        assert abs(shift + center) <= 1e-6
+        assert np.max(np.abs(moved.values - gaussian_field(default_grid).values)) <= 1e-6
+
+    def test_skipped_without_perturbation(self, default_grid):
+        u = gaussian_field(default_grid, center=0.7)
+        moved, shift = _best_translate(u, NonlinearitySpec().autonomous())
+        assert moved is u and shift == 0.0
+
+    def test_offcentre_iteration_budget(self):
+        # without the search this start drifts onto the bump of a(t) for 329 iterations
+        report = solve_ground_state(SolveConfig(init=InitSpec(center=1.5)))
+        assert report.converged
+        assert report.iterations <= 40
+
+    @pytest.mark.parametrize("center", [-5.0, -12.0])
+    def test_far_start_finds_the_perturbed_level(self, center):
+        # descent from here used to slide toward the autonomous level c_bar
+        # (centre -5: 2000 iterations, unconverged; centre -12: converged to c_bar)
+        centred = solve_ground_state(SolveConfig())
+        report = solve_ground_state(
+            SolveConfig(init=InitSpec(center=center, width=3.0, amplitude=2.0))
+        )
+        assert report.converged
+        assert report.iterations <= 40
+        assert abs(report.level - centred.level) <= 1e-9 * centred.level
 
 
 class TestMountainPass:
