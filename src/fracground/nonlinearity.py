@@ -13,14 +13,24 @@ comparison with the autonomous part) whenever theta <= p + 1 < p0 + 1 and
 theta < p0 + 1.  Those cross-parameter relations are checked by the
 validator rather than the constructor, so that deliberately broken specs can
 be built and shown to fail.
+
+The powers max(xi, 0)^e are flushed to an exact 0 wherever they would fall
+below the smallest normal float (xi <= tiny^(1/e)): libm's pow takes a slow
+path on every subnormal or underflowing result, and the Gaussian tails of a
+field sit in that range.  NaN still propagates.  Evaluated on a ``Grid1D``
+instead of an array of t, the coefficient 1 + a(t) on the nodes is computed
+once per (perturbation, grid) and cached read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+
+from .grid import Grid1D, make_grid
 
 __all__ = [
     "Perturbation",
@@ -91,24 +101,50 @@ class NonlinearitySpec:
         return NonlinearitySpec(self.p, self.theta, self.p0, Perturbation("zero", 0.0, 1.0))
 
 
-def eval_f(spec: NonlinearitySpec, t: ArrayLike, xi: ArrayLike):
-    """f(t, xi) = (1 + a(t)) * max(xi, 0)^p; zero for xi <= 0."""
-    xi_plus = np.maximum(np.asarray(xi, dtype=float), 0.0)
-    out = (1.0 + spec.perturbation.weight(t)) * xi_plus ** spec.p
+#: the smallest positive normal float; powers below it are flushed to 0
+_TINY = np.finfo(float).tiny
+
+
+def _power_plus(xi: ArrayLike, e: float) -> np.ndarray:
+    """max(xi, 0)^e, an exact 0 where the result would not be a normal float.
+
+    The mask is a negation so that NaN, which fails every comparison, is
+    still raised to the power and propagates.
+    """
+    xi = np.asarray(xi, dtype=float)
+    return np.power(xi, e, out=np.zeros_like(xi), where=~(xi <= _TINY ** (1.0 / e)))
+
+
+def _coefficient(spec: NonlinearitySpec, t: Union[Grid1D, ArrayLike]) -> np.ndarray:
+    """1 + a(t); on a grid, the cached read-only array on its nodes."""
+    if isinstance(t, Grid1D):
+        return _cached_coefficient(spec.perturbation, t.half_width, t.n_points)
+    return 1.0 + spec.perturbation.weight(t)
+
+
+# keyed on the grid's numbers, like operators._cached_even_symbols
+@functools.lru_cache(maxsize=8)
+def _cached_coefficient(perturbation: Perturbation, half_width: float, n_points: int) -> np.ndarray:
+    coeff = 1.0 + perturbation.weight(make_grid(half_width, n_points).nodes)
+    coeff.flags.writeable = False
+    return coeff
+
+
+def eval_f(spec: NonlinearitySpec, t: Union[Grid1D, ArrayLike], xi: ArrayLike):
+    """f(t, xi) = (1 + a(t)) * max(xi, 0)^p; zero for xi <= 0.  t may be a grid."""
+    out = _coefficient(spec, t) * _power_plus(xi, spec.p)
     return out if out.ndim else float(out)
 
 
-def eval_F(spec: NonlinearitySpec, t: ArrayLike, xi: ArrayLike):
-    """Primitive F(t, xi) = (1 + a(t)) * max(xi, 0)^(p+1) / (p+1)."""
-    xi_plus = np.maximum(np.asarray(xi, dtype=float), 0.0)
-    out = (1.0 + spec.perturbation.weight(t)) * xi_plus ** (spec.p + 1.0) / (spec.p + 1.0)
+def eval_F(spec: NonlinearitySpec, t: Union[Grid1D, ArrayLike], xi: ArrayLike):
+    """Primitive F(t, xi) = (1 + a(t)) * max(xi, 0)^(p+1) / (p+1).  t may be a grid."""
+    out = _coefficient(spec, t) * _power_plus(xi, spec.p + 1.0) / (spec.p + 1.0)
     return out if out.ndim else float(out)
 
 
-def eval_df(spec: NonlinearitySpec, t: ArrayLike, xi: ArrayLike):
+def eval_df(spec: NonlinearitySpec, t: Union[Grid1D, ArrayLike], xi: ArrayLike):
     """Partial derivative of f in xi: (1 + a(t)) * p * max(xi, 0)^(p-1)."""
-    xi_plus = np.maximum(np.asarray(xi, dtype=float), 0.0)
-    out = (1.0 + spec.perturbation.weight(t)) * spec.p * xi_plus ** (spec.p - 1.0)
+    out = _coefficient(spec, t) * spec.p * _power_plus(xi, spec.p - 1.0)
     return out if out.ndim else float(out)
 
 

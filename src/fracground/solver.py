@@ -26,7 +26,14 @@ from .errors import DivergedError, EndpointNotNegativeError, NoPositivePartError
 from .grid import Grid1D, SpectralField, gaussian_field, load_field_json, make_grid, shift_cells
 from .nonlinearity import NonlinearitySpec
 from .operators import h_alpha_norm_sq
-from .variational import _best_translate, _validate_solver_order, energy, gradient, nehari_project
+from .variational import (
+    _best_translate,
+    _segment_energies,
+    _validate_solver_order,
+    energy,
+    gradient,
+    nehari_project,
+)
 
 __all__ = [
     "InitSpec",
@@ -269,10 +276,13 @@ def mountain_pass_path(
     cannot carry the path maximum, which is positive), and redistributes the
     nodes by arclength so the crossing region stays resolved.  Endpoints are
     pinned, so the polyline remains an admissible path throughout, and its
-    maximal energy (located by nested sampling on every segment) is an upper
-    bound for the min-max level that decreases with the sweep count.  The
-    path is held as fields, whose arithmetic carries the spectrum, so only
-    the seed and the gradients make transforms.
+    maximal energy is an upper bound for the min-max level that decreases
+    with the sweep count.  It is located by nested sampling on every segment,
+    where the quadratic part is a closed-form quadratic in the segment
+    parameter and the potential at all samples of one level is one
+    evaluation on a stacked array.  The path is held as fields, whose
+    arithmetic carries the spectrum, so only the seed and the gradients (two
+    transforms each) make transforms.
     """
     if n_nodes < 5:
         raise ValueError(f"need at least 5 path nodes, got {n_nodes}")
@@ -350,7 +360,7 @@ def mountain_pass_path(
         best = -np.inf
         for _ in range(depth):
             lams = np.linspace(lo, hi, n_sub)
-            vals = [node_energy((1.0 - lam) * a + lam * b) for lam in lams]
+            vals = _segment_energies(a, b, spec, alpha, lams)
             j = int(np.argmax(vals))
             best = max(best, vals[j])
             span = (hi - lo) / (n_sub - 1)

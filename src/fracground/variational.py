@@ -21,7 +21,7 @@ import numpy as np
 from .errors import NoPositivePartError
 from .grid import SpectralField, translate
 # eval_df is unused here; bench/tracer.py binds it in this module and fails if it is missing
-from .nonlinearity import NonlinearitySpec, eval_F, eval_df, eval_f
+from .nonlinearity import NonlinearitySpec, _coefficient, _power_plus, eval_F, eval_df, eval_f
 from .operators import _even_symbols, apply_multiplier, h_alpha_norm_sq, multiplier_symbol
 
 __all__ = [
@@ -59,33 +59,63 @@ def energy(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> EnergyBrea
     """Energy 1/2 ||u||_alpha^2 - integral F(t, u)."""
     alpha = _validate_solver_order(alpha)
     quad = 0.5 * h_alpha_norm_sq(u, alpha)
-    pot = float(u.grid.spacing * np.sum(eval_F(spec, u.grid.nodes, u.values)))
+    pot = float(u.grid.spacing * np.sum(eval_F(spec, u.grid, u.values)))
     return EnergyBreakdown(quad, pot, quad - pot)
 
 
 @dataclass(frozen=True)
 class GradientResult:
-    raw_residual: SpectralField
     precond_gradient: SpectralField
     residual_norm: float
+    alpha: float
+
+    @property
+    def raw_residual(self) -> SpectralField:
+        """The L2 residual K u - f(., u), K = 1 + |w|^(2 alpha), made on demand (one transform)."""
+        _, k_symbol, _ = _even_symbols(self.precond_gradient.grid, self.alpha)
+        return apply_multiplier(self.precond_gradient, k_symbol)
 
 
 def gradient(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> GradientResult:
-    """L2 residual (|w|^(2a) + 1) u - f(., u) and its H^alpha representative.
+    """H^alpha gradient K^-1 (K u - f(., u)) = u - K^-1 f(., u), K = 1 + |w|^(2 alpha).
 
-    The preconditioned gradient is the raw residual smoothed by the resolvent
-    multiplier; its ||.||_alpha norm is the reported residual, a mesh-robust
-    stationarity measure.
+    The second form takes two transforms, one of f(., u) and one back from
+    the resolvent multiplier; the L2 residual K u - f(., u) is the
+    ``raw_residual`` property, made only when asked for.  The ||.||_alpha
+    norm of the preconditioned gradient is the reported residual, a
+    mesh-robust stationarity measure.
     """
     alpha = _validate_solver_order(alpha)
     grid = u.grid
-    _, k_symbol, _ = _even_symbols(grid, alpha)
-    linear_part = apply_multiplier(u, k_symbol)
-    f_vals = eval_f(spec, grid.nodes, u.values)
-    raw = SpectralField.from_values(grid, linear_part.values - f_vals)
-    precond = apply_multiplier(raw, multiplier_symbol(grid, alpha, "resolvent"))
+    f_field = SpectralField.from_values(grid, eval_f(spec, grid, u.values))
+    precond = u - apply_multiplier(f_field, multiplier_symbol(grid, alpha, "resolvent"))
     res_norm = float(np.sqrt(h_alpha_norm_sq(precond, alpha)))
-    return GradientResult(raw, precond, res_norm)
+    return GradientResult(precond, res_norm, alpha)
+
+
+def _segment_energies(
+    a: SpectralField, b: SpectralField, spec: NonlinearitySpec, alpha: float, lams
+) -> np.ndarray:
+    """E((1 - lam) a + lam b) for every lam, with the quadratic part in closed form.
+
+    Along the segment ||.||_alpha^2 is the quadratic
+    (1 - lam)^2 ||a||^2 + 2 lam (1 - lam) <a, b>_alpha + lam^2 ||b||^2, so
+    three spectral sums serve every lam; the potential is one ``eval_F`` call
+    on the stack of the combined values.
+    """
+    grid = a.grid
+    _, k_symbol, _ = _even_symbols(grid, alpha)
+    cross = grid.frequency_step / (2.0 * np.pi) * np.sum(
+        k_symbol * (a.spectrum * b.spectrum.conj()).real
+    )
+    lam = np.asarray(lams, dtype=float)
+    quad = 0.5 * (
+        (1.0 - lam) ** 2 * h_alpha_norm_sq(a, alpha)
+        + 2.0 * lam * (1.0 - lam) * cross
+        + lam ** 2 * h_alpha_norm_sq(b, alpha)
+    )
+    stack = (1.0 - lam)[:, None] * a.values + lam[:, None] * b.values
+    return quad - grid.spacing * np.sum(eval_F(spec, grid, stack), axis=1)
 
 
 @dataclass(frozen=True)
@@ -96,7 +126,7 @@ class FiberScan:
 
 
 def _potential_on_ray(u: SpectralField, spec: NonlinearitySpec, sigma: float) -> float:
-    return float(u.grid.spacing * np.sum(eval_F(spec, u.grid.nodes, sigma * u.values)))
+    return float(u.grid.spacing * np.sum(eval_F(spec, u.grid, sigma * u.values)))
 
 
 def fiber_map(u: SpectralField, spec: NonlinearitySpec, alpha: float, sigma_grid) -> FiberScan:
@@ -143,10 +173,10 @@ def nehari_project(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> Ne
     peak = float(np.max(u.values))
     if peak <= 0.0:
         raise NoPositivePartError("field has no positive part; no fiber maximizer exists")
-    nodes, h = u.grid.nodes, u.grid.spacing
+    grid, h = u.grid, u.grid.spacing
 
     def pairing(values: np.ndarray) -> float:
-        return h * float(np.sum(eval_f(spec, nodes, values) * values))
+        return h * float(np.sum(eval_f(spec, grid, values) * values))
 
     unit_norm_sq = h_alpha_norm_sq(u, alpha) / peak / peak
     unit_sigma = (unit_norm_sq / pairing(u.values / peak)) ** (1.0 / (spec.p - 1.0))
@@ -177,15 +207,15 @@ def _best_translate(u: SpectralField, spec: NonlinearitySpec) -> tuple[SpectralF
     """
     grid = u.grid
     h, n = grid.spacing, grid.n_points
-    coeff = 1.0 + spec.perturbation.weight(grid.nodes)
+    coeff = _coefficient(spec, grid)
     if np.all(coeff == 1.0):
         return u, 0.0
     peak, power = float(np.max(u.values)), spec.p + 1.0
 
     def integral(fld: SpectralField) -> float:
-        return h * float(np.sum(coeff * np.maximum(fld.values / peak, 0.0) ** power))
+        return h * float(np.sum(coeff * _power_plus(fld.values / peak, power)))
 
-    unit_power = np.maximum(u.values / peak, 0.0) ** power
+    unit_power = _power_plus(u.values / peak, power)
     cells = h * np.fft.irfft(np.fft.rfft(coeff) * np.conj(np.fft.rfft(unit_power)), n)
     k = int(np.argmax(cells))
     k = k - n if k >= n // 2 else k

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
+import fracground.nonlinearity as nl
+
 from fracground import (
     NonlinearitySpec,
     Perturbation,
     SampleBox,
+    energy,
     eval_F,
     eval_df,
     eval_f,
+    gaussian_field,
     growth_constant,
+    h_alpha_norm_sq,
+    make_grid,
     validate_hypotheses,
 )
 
@@ -74,6 +80,52 @@ class TestEvaluation:
             Perturbation(amplitude=-0.1)
         with pytest.raises(ValueError, match="kind"):
             Perturbation(kind="sinusoidal")
+
+
+TINY = np.finfo(float).tiny
+
+
+def unflushed_f(spec, t, xi):
+    """f and F as plain powers of max(xi, 0), subnormal results kept."""
+    xi_plus = np.maximum(np.asarray(xi, dtype=float), 0.0)
+    coeff = 1.0 + spec.perturbation.weight(t)
+    return coeff * xi_plus ** spec.p, coeff * xi_plus ** (spec.p + 1.0) / (spec.p + 1.0)
+
+
+class TestPowerFlush:
+    MIXED = np.array([np.nan, -1.0, -0.0, 0.0, 1e-78, 1e-70, 2.0, np.inf])
+
+    @pytest.mark.parametrize("which", ["tails", "mixed"])
+    def test_flush_below_smallest_normal(self, default_grid, which):
+        spec = NonlinearitySpec()
+        if which == "tails":
+            t, xi = default_grid, 1e-90 * gaussian_field(default_grid).values
+            plain = unflushed_f(spec, default_grid.nodes, xi)
+        else:
+            t, xi = np.linspace(-2.0, 2.0, self.MIXED.size), self.MIXED
+            with np.errstate(invalid="ignore"):
+                plain = unflushed_f(spec, t, xi)
+        for out, ref in zip((eval_f(spec, t, xi), eval_F(spec, t, xi)), plain):
+            assert np.all(np.isnan(out) | (out == 0.0) | (out >= TINY))
+            normal = ~(ref < TINY)
+            assert np.array_equal(out[normal], ref[normal], equal_nan=True)
+            assert np.array_equal(np.isnan(out), np.isnan(xi))
+
+    def test_grid_coefficient_is_cached_and_read_only(self, default_grid):
+        spec = NonlinearitySpec()
+        xi = gaussian_field(default_grid).values
+        assert np.array_equal(eval_f(spec, default_grid, xi), eval_f(spec, default_grid.nodes, xi))
+        same_grid = make_grid(default_grid.half_width, default_grid.n_points)
+        assert nl._coefficient(spec, default_grid) is nl._coefficient(spec, same_grid)
+        assert not nl._coefficient(spec, default_grid).flags.writeable
+
+    def test_energy_of_gaussian_is_bit_identical(self, default_grid):
+        spec, alpha = NonlinearitySpec(), 0.75
+        u = gaussian_field(default_grid)
+        _, F_vals = unflushed_f(spec, default_grid.nodes, u.values)
+        quad = 0.5 * h_alpha_norm_sq(u, alpha)
+        pot = float(default_grid.spacing * np.sum(F_vals))
+        assert energy(u, spec, alpha).total == quad - pot
 
 
 class TestHypothesisValidation:

@@ -137,9 +137,9 @@ class TestSolveGroundState:
             solve_ground_state(config)
 
     @pytest.mark.parametrize("autonomous", [False, True])
-    def test_three_transforms_per_iteration(self, monkeypatch, autonomous):
-        # one ifft for K u_hat, one fft for the raw residual, one ifft for the
-        # preconditioned gradient; field arithmetic and projection make none
+    def test_two_transforms_per_iteration(self, monkeypatch, autonomous):
+        # one fft for f(u), one ifft for its resolvent image; field arithmetic
+        # and projection make none
         calls = []
         for name in ("fft", "ifft"):
             original = getattr(np.fft, name)
@@ -158,7 +158,7 @@ class TestSolveGroundState:
             )
             return len(calls)
 
-        assert transforms(12) - transforms(2) <= 3 * 10
+        assert transforms(12) - transforms(2) <= 2 * 10
 
     def test_custom_init_round_trip(self, tmp_path):
         grid = make_grid(64.0, 4096)
@@ -235,7 +235,7 @@ class TestMountainPass:
 
     def test_transform_budget(self, fft_calls):
         # the path is held as fields: only the seed and the relax gradients
-        # (three transforms each, at most n_nodes + 1 per sweep) transform
+        # (two transforms each, at most n_nodes + 1 per sweep) transform
         config = SolveConfig(half_width=32.0, n_points=1024, autonomous=True)
         n_nodes = 9
 
@@ -245,7 +245,17 @@ class TestMountainPass:
             return len(fft_calls)
 
         assert transforms(0) == 1
-        assert transforms(3) - transforms(1) <= 2 * 3 * (n_nodes + 1)
+        assert transforms(3) - transforms(1) <= 2 * 2 * (n_nodes + 1)
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.0])
+    @pytest.mark.parametrize("autonomous", [False, True])
+    def test_path_max_falls_with_sweeps(self, alpha, autonomous):
+        config = SolveConfig(half_width=32.0, n_points=1024, alpha=alpha, autonomous=autonomous)
+        maxima = [
+            mountain_pass_path(config, n_nodes=17, n_deform=n).path_max_energy
+            for n in (0, 2, 5, 10, 20)
+        ]
+        assert all(later <= earlier for earlier, later in zip(maxima, maxima[1:]))
 
     def test_endpoint_not_negative_error(self):
         grid_cfg = autonomous_config(

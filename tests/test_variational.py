@@ -20,6 +20,8 @@ from fracground import (
     SolveConfig,
 )
 from fracground.checks import random_band_limited_field
+from fracground.operators import _even_symbols, apply_multiplier
+from fracground.variational import _segment_energies
 
 SPEC = NonlinearitySpec()
 
@@ -90,6 +92,28 @@ class TestGradient:
         u = SpectralField.from_values(default_grid, np.sqrt(2) / np.cosh(default_grid.nodes))
         result = gradient(u, SPEC.autonomous(), 1.0)
         assert result.residual_norm <= 1e-3
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0])
+    def test_raw_residual_is_k_u_minus_f(self, default_grid, alpha):
+        u = gaussian_field(default_grid, center=0.4, width=1.7, amplitude=1.3)
+        _, k_symbol, _ = _even_symbols(default_grid, alpha)
+        for spec in (SPEC, SPEC.autonomous()):
+            direct = apply_multiplier(u, k_symbol).values - eval_f(spec, default_grid.nodes, u.values)
+            raw = gradient(u, spec, alpha).raw_residual.values
+            assert np.max(np.abs(raw - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+class TestSegmentEnergies:
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0])
+    def test_closed_form_matches_energy(self, default_grid, alpha):
+        # two different shapes, so the cross term <a, b>_alpha is exercised
+        a = gaussian_field(default_grid, center=-1.0, width=1.5, amplitude=0.8)
+        b = gaussian_field(default_grid, center=1.0, width=2.5, amplitude=2.4)
+        lams = np.linspace(0.0, 1.0, 17)
+        for spec in (SPEC, SPEC.autonomous()):
+            closed = _segment_energies(a, b, spec, alpha, lams)
+            direct = np.array([energy((1.0 - lam) * a + lam * b, spec, alpha).total for lam in lams])
+            assert np.all(np.abs(closed - direct) <= 1e-13 * np.abs(direct))
 
 
 class TestFiberMap:
