@@ -12,6 +12,14 @@ origin from index 0 to t = -L is exactly ``(-1)^k``.  With this scaling the disc
 L2 norm of the values equals the (1/2pi)-weighted L2 norm of the spectrum
 (Plancherel), and smooth decaying functions reproduce their analytic
 transforms to near machine precision.
+
+Values are real, so both transforms are real-input ones.  The forward
+transform takes ``rfft`` for ``k <= N/2`` and fills the negative frequencies
+with the exact conjugate mirror, so every spectrum made from values is exactly
+Hermitian.  The spectrum is kept at full length N.  The inverse transform
+returns ``irfft`` of the Hermitian part of a spectrum; the imaginary residue
+that a non-Hermitian spectrum would leave is measured from its anti-Hermitian
+part by Parseval, without a complex inverse.
 """
 
 from __future__ import annotations
@@ -78,7 +86,8 @@ def make_grid(half_width: float, n_points: int) -> Grid1D:
         raise ValueError(f"n_points must be >= 16, got {n_points}")
     h = 2.0 * half_width / n_points
     nodes = -half_width + h * np.arange(n_points)
-    freqs = 2.0 * np.pi * np.fft.fftfreq(n_points, d=h)
+    freqs = np.fft.fftfreq(n_points, d=h)
+    freqs *= 2.0 * np.pi
     nodes.flags.writeable = False
     freqs.flags.writeable = False
     return Grid1D(half_width, n_points, h, nodes, freqs)
@@ -107,9 +116,13 @@ class SpectralField:
         # checked before the transform too, which warns on non-finite input
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
-        spectrum = np.fft.fft(values)
-        spectrum[1::2] *= -1.0
-        spectrum *= grid.spacing
+        m, h = grid.nyquist_index, grid.spacing
+        half = np.fft.rfft(values)
+        # h * (-1)^k * rfft for k <= N/2, then the exact conjugate mirror
+        spectrum = np.empty(grid.n_points, dtype=np.complex128)
+        np.multiply(half[0::2], h, out=spectrum[0 : m + 1 : 2])
+        np.multiply(half[1::2], -h, out=spectrum[1 : m + 1 : 2])
+        np.conjugate(spectrum[m - 1 : 0 : -1], out=spectrum[m + 1 :])
         return cls._join(grid, values, spectrum)
 
     @classmethod
@@ -158,7 +171,15 @@ class SpectralField:
 
 
 def values_from_spectrum(grid: Grid1D, spectrum: np.ndarray) -> tuple[np.ndarray, float]:
-    """Invert a spectrum to real values; return (values, L2 of imaginary residue)."""
+    """Invert a spectrum to real values; return (values, L2 of imaginary residue).
+
+    The values are the real part of the inverse transform, taken as ``irfft``
+    of the Hermitian part ``(S_k + conj S_-k) / 2``.  The imaginary part is the
+    inverse transform of the anti-Hermitian part, so by Parseval its squared
+    discrete L2 norm is ``sum_k |S_k - conj S_-k|^2 / (4 N h)``: zero for the
+    spectrum of a field, and the measure of how far an applied symbol is from
+    keeping real fields real.
+    """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     if spectrum.shape != (grid.n_points,):
         raise ValueError(
@@ -166,12 +187,21 @@ def values_from_spectrum(grid: Grid1D, spectrum: np.ndarray) -> tuple[np.ndarray
         )
     if not np.all(np.isfinite(spectrum)):
         raise ValueError("spectrum entries must be finite")
-    scaled = spectrum / grid.spacing
-    scaled[1::2] *= -1.0
-    complex_values = np.fft.ifft(scaled)
-    imag_l2 = float(np.sqrt(grid.spacing * np.sum(complex_values.imag ** 2)))
-    # a contiguous copy, so a field built on it does not keep the complex buffer
-    return complex_values.real.copy(), imag_l2
+    n, m = grid.n_points, grid.nyquist_index
+    head = spectrum[: m + 1]
+    # conj S_-k for k = 0..N/2
+    mirror = np.empty(m + 1, dtype=np.complex128)
+    mirror[0] = spectrum[0].conjugate()
+    np.conjugate(spectrum[: m - 1 : -1], out=mirror[1:])
+    odd = head - mirror
+    # modes 0 and N/2 are their own mirrors; every other one stands for two
+    odd_sq = 2.0 * np.vdot(odd[1:m], odd[1:m]).real + abs(odd[0]) ** 2 + abs(odd[m]) ** 2
+    imag_l2 = float(np.sqrt(odd_sq / (4.0 * n * grid.spacing)))
+    # mirror becomes (-1)^k (S_k + conj S_-k) / (2h): the Hermitian part, phase and h undone
+    mirror += head
+    np.divide(mirror[0::2], 2.0 * grid.spacing, out=mirror[0::2])
+    np.divide(mirror[1::2], -2.0 * grid.spacing, out=mirror[1::2])
+    return np.fft.irfft(mirror, n), imag_l2
 
 
 def lp_norm(fld: SpectralField, p: float) -> float:

@@ -14,7 +14,9 @@ keep real fields real.
 
 A Grunwald-Letnikov difference-quotient discretization of the same
 derivatives is provided as an independent time-domain oracle; it treats the
-field as zero outside the grid, hence its compact-support precondition.
+field as zero outside the grid, hence its compact-support precondition.  Its
+convolution is a zero-padded product of real-input FFTs, so the package runs
+on numpy alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import warnings
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import SpectralTailError, SpectralTailWarning, ZeroModeSingularError
 from .grid import Grid1D, SpectralField, lp_norm, make_grid, values_from_spectrum
@@ -94,7 +95,10 @@ def multiplier_symbol(grid: Grid1D, alpha: float, kind: str) -> np.ndarray:
     ``composed`` is ``|w|^(2 alpha)`` and ``resolvent`` its shifted inverse
     ``(|w|^(2 alpha) + 1)^(-1)``; both are real and even so the Nyquist mode
     is kept; both are cached per (grid, alpha) and read-only.  The four
-    one-sided kinds are complex, built per call, with the Nyquist entry zeroed.
+    one-sided kinds are complex, built per call, with the zero and Nyquist
+    entries zeroed.  Their phase ``exp(+-i a pi/2 * sign(w))`` takes one value
+    on w > 0 and its conjugate on w < 0, so each is one real power of the
+    positive frequencies times two scalar phases.
     """
     if kind not in SYMBOL_KINDS:
         raise ValueError(f"unknown symbol kind {kind!r}")
@@ -102,26 +106,33 @@ def multiplier_symbol(grid: Grid1D, alpha: float, kind: str) -> np.ndarray:
         composed, _, resolvent = _even_symbols(grid, alpha)
         return composed if kind == "composed" else resolvent
 
-    w = grid.frequencies
     validate_order(alpha, integral=kind in ("left_int", "right_int"))
     sign = 1.0 if kind.startswith("left") else -1.0
     power = alpha if kind.endswith("deriv") else -alpha
+    m = grid.nyquist_index
+    # |w_-k| == w_k bit for bit, so index N - k reuses the power of index k
+    w_pow = grid.frequencies[1:m] ** power
+    phase = np.exp(1j * (power * (np.pi / 2.0) * sign))
     sym = np.zeros(grid.n_points, dtype=np.complex128)
-    nz = w != 0.0
-    sym[nz] = np.abs(w[nz]) ** power * np.exp(1j * power * (np.pi / 2.0) * sign * np.sign(w[nz]))
-    sym[grid.nyquist_index] = 0.0
+    sym[1:m] = w_pow * phase
+    sym[: m : -1] = w_pow * phase.conjugate()
     return sym
 
 
 def _tail_mass(u: SpectralField) -> float:
-    w = u.grid.frequencies
-    power = np.abs(u.spectrum) ** 2
-    total = float(np.sum(power))
+    """Share of the spectral power in the band |w| >= TAIL_BAND_START * max |w|.
+
+    |w_k| rises with min(k, N - k) up to the Nyquist index m, so the band is
+    the index range [k0, N - k0] around m.
+    """
+    spectrum = u.spectrum
+    total = np.vdot(spectrum, spectrum).real
     if total == 0.0:
         return 0.0
-    w_max = float(np.max(np.abs(w)))
-    tail = np.abs(w) >= TAIL_BAND_START * w_max
-    return float(np.sum(power[tail])) / total
+    w, m = u.grid.frequencies, u.grid.nyquist_index
+    k0 = int(np.searchsorted(w[:m], TAIL_BAND_START * abs(w[m])))
+    band = spectrum[k0 : u.n_points - k0 + 1]
+    return float(np.vdot(band, band).real / total)
 
 
 def _check_tail(u: SpectralField, strict: bool) -> None:
@@ -200,6 +211,19 @@ GL_WEIGHT_CUTOFF = 1e-14
 SUPPORT_MARGIN_FRACTION = 0.25
 
 
+def fftconvolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of the linear convolution of two real sequences.
+
+    Both are zero-padded to the power of two m >= len(a) + len(b) - 1, so the
+    circular convolution of the padded sequences, one real-input transform
+    product, is the linear one.
+    """
+    m = 1 << (len(a) + len(b) - 2).bit_length()
+    prod = np.fft.rfft(a, m)
+    prod *= np.fft.rfft(b, m)
+    return np.fft.irfft(prod, m)[:n]
+
+
 def gl_weights(alpha: float, max_terms: int) -> np.ndarray:
     """Binomial weights (-1)^k C(alpha, k), cut before the first below GL_WEIGHT_CUTOFF."""
     k = np.arange(1.0, max_terms + 1.0)
@@ -210,11 +234,11 @@ def gl_weights(alpha: float, max_terms: int) -> np.ndarray:
 
 def _check_support_margin(u: SpectralField) -> None:
     grid = u.grid
-    peak = float(np.max(np.abs(u.values)))
+    magnitude = np.abs(u.values)
+    peak = float(np.max(magnitude))
     if peak == 0.0:
         return
-    occupied = np.abs(u.values) > 1e-13 * peak
-    idx = np.nonzero(occupied)[0]
+    idx = np.flatnonzero(magnitude > 1e-13 * peak)
     t_lo = grid.nodes[idx[0]]
     t_hi = grid.nodes[idx[-1]]
     margin = min(t_lo + grid.half_width, grid.half_width - t_hi)
@@ -239,8 +263,8 @@ def gl_oracle(u: SpectralField, alpha: float, side: str) -> SpectralField:
     grid = u.grid
     weights = gl_weights(alpha, grid.n_points - 1)
     values = u.values if side == "left" else u.values[::-1]
-    conv = fftconvolve(weights, values)[: grid.n_points]
-    out = conv * grid.spacing ** (-alpha)
+    out = fftconvolve(weights, values, grid.n_points)
+    out *= grid.spacing ** (-alpha)
     if side == "right":
         out = out[::-1]
     return SpectralField.from_values(grid, out)
@@ -257,9 +281,13 @@ class HAlphaNorm(NamedTuple):
 
 def h_alpha_norm_sq(u: SpectralField, alpha: float) -> float:
     """Squared fractional Sobolev norm ||u||_L2^2 + || |w|^alpha u_hat ||^2 (spectral side only)."""
-    grid = u.grid
+    return _spectrum_norm_sq(u.grid, u.spectrum, alpha)
+
+
+def _spectrum_norm_sq(grid: Grid1D, spectrum: np.ndarray, alpha: float) -> float:
+    """``h_alpha_norm_sq`` of the field with this spectrum, given without its values."""
     _, weight, _ = _even_symbols(grid, alpha)
-    return float(grid.frequency_step / (2.0 * np.pi) * np.sum(weight * np.abs(u.spectrum) ** 2))
+    return float(grid.frequency_step / (2.0 * np.pi) * np.sum(weight * np.abs(spectrum) ** 2))
 
 
 def h_alpha_norm(u: SpectralField, alpha: float) -> HAlphaNorm:

@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .errors import DivergedError, EndpointNotNegativeError, NoPositivePartError
 from .grid import Grid1D, SpectralField, gaussian_field, load_field_json, make_grid, shift_cells
 from .nonlinearity import NonlinearitySpec
-from .operators import h_alpha_norm_sq
+# h_alpha_norm_sq is unused here: it is bound by name so that bench/tracer.py can rebind it
+from .operators import _spectrum_norm_sq, h_alpha_norm_sq
 from .variational import (
     _best_translate,
     _segment_energies,
@@ -129,7 +129,8 @@ def vanishing_diagnostic(u: SpectralField, r: float) -> VanishingProfile:
         raise ValueError(f"window radius must be >= h = {grid.spacing}, got {r}")
     half_cells = int(round(r / grid.spacing))
     kernel = np.ones(2 * half_cells + 1)
-    masses = grid.spacing * convolve1d(u.values ** 2, kernel, mode="wrap")
+    wrapped = np.pad(u.values ** 2, half_cells, mode="wrap")
+    masses = grid.spacing * np.convolve(wrapped, kernel, mode="valid")
     idx = int(np.argmax(masses))
     return VanishingProfile(grid.nodes, masses, float(masses[idx]), float(grid.nodes[idx]))
 
@@ -297,7 +298,7 @@ def mountain_pass_path(
         return energy(u, spec, alpha).total
 
     def distance(a: SpectralField, b: SpectralField) -> float:
-        return float(np.sqrt(h_alpha_norm_sq(b - a, alpha)))
+        return float(np.sqrt(_spectrum_norm_sq(a.grid, b.spectrum - a.spectrum, alpha)))
 
     scale = float(endpoint_scale)
     while node_energy(scale * u_init) >= 0.0:

@@ -81,10 +81,25 @@ class TestTransform:
         back = SpectralField.from_spectrum(default_grid, u.spectrum)
         rel = np.max(np.abs(back.values - u.values)) / np.max(np.abs(u.values))
         assert rel < 1e-12
-        # the phase exp(i w_k L) is exactly (-1)^k
-        signs = (-1.0) ** np.arange(default_grid.n_points)
-        expected = default_grid.spacing * (signs * np.fft.fft(u.values))
+        # the phase exp(i w_k L) is exactly (-1)^k; above N/2 the spectrum is
+        # the exact conjugate mirror, so it is exactly Hermitian
+        m = default_grid.nyquist_index
+        signs = (-1.0) ** np.arange(m + 1)
+        half = default_grid.spacing * (signs * np.fft.rfft(u.values))
+        expected = np.concatenate((half, np.conj(half[m - 1 : 0 : -1])))
         assert np.array_equal(SpectralField.from_values(default_grid, u.values).spectrum, expected)
+
+    def test_values_and_residue_match_the_complex_inverse(self, default_grid, rng):
+        u = random_band_limited_field(default_grid, rng)
+        spectrum = u.spectrum.copy()
+        spectrum[7] += 1e-3 * (1.0 + 2.0j) * np.max(np.abs(spectrum))
+        values, imag_l2 = values_from_spectrum(default_grid, spectrum)
+        scaled = spectrum / default_grid.spacing
+        scaled[1::2] *= -1.0
+        complex_values = np.fft.ifft(scaled)
+        expected_imag = np.sqrt(default_grid.spacing * np.sum(complex_values.imag ** 2))
+        assert np.max(np.abs(values - complex_values.real)) <= 1e-15 * np.max(np.abs(values))
+        assert abs(imag_l2 - expected_imag) <= 1e-12 * expected_imag
 
     def test_plancherel(self, default_grid, rng):
         u = random_band_limited_field(default_grid, rng)

@@ -20,7 +20,14 @@ from fracground import (
     validate_order,
 )
 from fracground.checks import conformance_checks, random_band_limited_field
-from fracground.operators import GL_WEIGHT_CUTOFF, gl_weights
+from fracground.operators import (
+    GL_WEIGHT_CUTOFF,
+    TAIL_BAND_START,
+    _tail_mass,
+    apply_multiplier,
+    fftconvolve,
+    gl_weights,
+)
 
 
 def rel_l2(a, b):
@@ -62,6 +69,27 @@ class TestSymbols:
         target = np.abs(w[pos]) ** (2 * alpha)
         assert np.max(np.abs(product.imag) / target) < 1e-14
         assert np.max(np.abs(product.real - target) / target) < 1e-13
+
+    @pytest.mark.parametrize("n", [16, 4096])
+    @pytest.mark.parametrize("kind", ["left_deriv", "right_deriv", "left_int", "right_int"])
+    def test_one_sided_closed_form_is_the_elementwise_formula(self, n, kind):
+        grid = make_grid(64.0, n)
+        alpha = 0.75
+        sign = 1.0 if kind.startswith("left") else -1.0
+        power = alpha if kind.endswith("deriv") else -alpha
+        w = grid.frequencies
+        expected = np.zeros(n, dtype=np.complex128)
+        nz = w != 0.0
+        expected[nz] = np.abs(w[nz]) ** power * np.exp(
+            1j * power * (np.pi / 2.0) * sign * np.sign(w[nz])
+        )
+        expected[grid.nyquist_index] = 0.0
+        assert np.array_equal(multiplier_symbol(grid, alpha, kind), expected)
+
+    def test_non_hermitian_symbol_trips_the_residue_check(self, small_grid):
+        u = gaussian_field(small_grid, width=1.0)
+        with pytest.raises(AssertionError, match="imaginary residue"):
+            apply_multiplier(u, 1j * np.ones(small_grid.n_points))
 
     def test_integral_symbol_exponent(self, small_grid):
         sym = multiplier_symbol(small_grid, 0.6, "left_int")
@@ -113,6 +141,15 @@ class TestFractionalDerivative:
             fractional_derivative(noisy, 0.75, "left")
         with pytest.raises(SpectralTailError):
             fractional_derivative(noisy, 0.75, "left", strict=True)
+
+    @pytest.mark.parametrize("n", [16, 4096])
+    def test_tail_mass_is_the_masked_band_share(self, rng, n):
+        grid = make_grid(64.0, n)
+        u = SpectralField.from_values(grid, rng.normal(size=n))
+        power = np.abs(u.spectrum) ** 2
+        w = np.abs(grid.frequencies)
+        expected = np.sum(power[w >= TAIL_BAND_START * np.max(w)]) / np.sum(power)
+        assert _tail_mass(u) == pytest.approx(expected, rel=1e-13)
 
     def test_bad_side(self, small_grid):
         u = gaussian_field(small_grid)
@@ -172,6 +209,21 @@ class TestComposedOperator:
 
 
 class TestGLOracle:
+    @pytest.mark.parametrize("len_a, len_b", [(1, 16), (2, 4096), (15, 100), (4096, 4096)])
+    def test_fftconvolve_is_the_truncated_linear_convolution(self, rng, len_a, len_b):
+        a, b = rng.standard_normal(len_a), rng.standard_normal(len_b)
+        n = max(len_a, len_b)
+        expected = np.convolve(a, b)[:n]
+        out = fftconvolve(a, b, n)
+        assert out.shape == (n,)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_fftconvolve_matches_scipy_bit_for_bit(self, rng):
+        from scipy.signal import fftconvolve as scipy_fftconvolve
+
+        a, b = rng.standard_normal(2 ** 12), rng.standard_normal(2 ** 12)
+        assert np.array_equal(fftconvolve(a, b, 2 ** 12), scipy_fftconvolve(a, b)[: 2 ** 12])
+
     @pytest.mark.parametrize("max_terms", [0, 1, 15, 4096])
     @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.75, 0.95, 1.0])
     def test_weights_match_scalar_recurrence(self, alpha, max_terms):

@@ -30,9 +30,9 @@ def autonomous_config(**kwargs):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """A list that grows by one on every numpy.fft.fft / ifft call."""
+    """A list that grows by one on every numpy.fft.fft / ifft / rfft / irfft call."""
     calls = []
-    for name in ("fft", "ifft"):
+    for name in ("fft", "ifft", "rfft", "irfft"):
         original = getattr(np.fft, name)
 
         def counted(*args, _original=original, **kwargs):
@@ -44,6 +44,19 @@ def fft_calls(monkeypatch):
 
 
 class TestVanishingDiagnostic:
+    @pytest.mark.parametrize("cells", [1, 5])
+    def test_periodic_window_sum(self, cells):
+        grid = make_grid(8.0, 256)
+        u = gaussian_field(grid, center=7.0, width=0.5)
+        diag = vanishing_diagnostic(u, cells * grid.spacing)
+        sq = u.values ** 2
+        direct = grid.spacing * np.array([
+            sum(sq[(i + j) % grid.n_points] for j in range(-cells, cells + 1))
+            for i in range(grid.n_points)
+        ])
+        assert np.max(np.abs(diag.masses - direct)) <= 1e-14 * np.max(direct)
+        assert np.argmax(diag.masses) == np.argmax(direct)
+
     def test_bump_location(self, default_grid):
         u = gaussian_field(default_grid, center=5.0, width=0.8)
         diag = vanishing_diagnostic(u, 1.0)
