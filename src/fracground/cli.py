@@ -31,7 +31,7 @@ from .operators import validate_order
 from .solver import SolveReport, compare_levels, solve_ground_state
 from .variational import fiber_map
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _CONFIG_HELP = "\n".join(
     f"  {key} (default {default!r})" for key, (default, _) in DEFAULTS.items()
@@ -80,7 +80,6 @@ def _write_solve_artifacts(report: SolveReport, out_dir: str) -> None:
         "max_mass": report.max_mass,
         "argmax_y": report.argmax_y,
         "recentred_shift": report.recentred_shift,
-        "vanishing_profile": report.vanishing_profile,
     }
     _write_json(os.path.join(out_dir, "report.json"), payload)
     field_to_csv(report.field, os.path.join(out_dir, "field.csv"))

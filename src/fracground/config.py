@@ -57,7 +57,6 @@ DEFAULTS: dict[str, tuple[Any, Any]] = {
     "tau": (SolveConfig.step, float),
     "max_iters": (SolveConfig.max_iters, int),
     "residual_tol": (SolveConfig.residual_tol, float),
-    "recentre": (SolveConfig.recentre, _as_bool),
     "window_radius": (SolveConfig.window_radius, float),
     "seed": (0, int),
     "fiber.sigma_min": (0.01, float),
@@ -150,7 +149,6 @@ def build_solve_config(values: dict[str, Any]) -> SolveConfig:
             step=values["tau"],
             max_iters=values["max_iters"],
             residual_tol=values["residual_tol"],
-            recentre=values["recentre"],
             window_radius=values["window_radius"],
         )
     except ValueError as exc:

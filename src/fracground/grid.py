@@ -113,7 +113,7 @@ class SpectralField:
             raise ValueError(
                 f"values must have shape ({grid.n_points},), got {values.shape}"
             )
-        # checked before the transform too, which warns on non-finite input
+        # checked before the transform, which warns on non-finite input
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
         m, h = grid.nyquist_index, grid.spacing
@@ -123,7 +123,9 @@ class SpectralField:
         np.multiply(half[0::2], h, out=spectrum[0 : m + 1 : 2])
         np.multiply(half[1::2], -h, out=spectrum[1 : m + 1 : 2])
         np.conjugate(spectrum[m - 1 : 0 : -1], out=spectrum[m + 1 :])
-        return cls._join(grid, values, spectrum)
+        values.flags.writeable = False
+        spectrum.flags.writeable = False
+        return cls(grid, values, spectrum)
 
     @classmethod
     def _join(cls, grid: Grid1D, values: np.ndarray, spectrum: np.ndarray) -> "SpectralField":

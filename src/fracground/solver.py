@@ -9,10 +9,10 @@ perturbation a(t) is not identically zero, the initial field is first moved
 to its translate of least projected energy: the perturbed level lies strictly
 below the autonomous one, and translation is the one direction along which
 descent from an off-centre start would crawl.  A sliding-window mass
-diagnostic locates where the iterate concentrates; in the
-translation-invariant (autonomous) case the iterate is recentred when the
-concentration point drifts too far, mirroring the translation normalization
-that restores compactness in the underlying analysis.
+diagnostic locates where a field concentrates; in the translation-invariant
+(autonomous) case the start is recentred once, before descent, when it
+concentrates too far out, mirroring the translation normalization that
+restores compactness in the underlying analysis.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """Settings of one solve; ``window_radius`` is the radius of the mass window
+    that recentres an autonomous start, once, before descent, and that the report reads."""
+
     half_width: float = 64.0
     n_points: int = 4096
     alpha: float = 0.75
@@ -85,7 +88,6 @@ class SolveConfig:
     step: float = 1.0
     max_iters: int = 2000
     residual_tol: float = 1e-7
-    recentre: bool = True
     window_radius: float = 1.0
 
     def __post_init__(self) -> None:
@@ -111,9 +113,6 @@ class VanishingProfile:
     masses: np.ndarray
     max_mass: float
     argmax_y: float
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return [(float(y), float(m)) for y, m in zip(self.centers, self.masses)]
 
 
 def vanishing_diagnostic(u: SpectralField, r: float) -> VanishingProfile:
@@ -144,7 +143,6 @@ class SolveReport:
     energy_history: list[float]
     iterations: int
     converged: bool
-    vanishing_profile: list[tuple[float, float]]
     max_mass: float
     argmax_y: float
     recentred_shift: float
@@ -171,8 +169,8 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     tau * gradient is below the rounding of u) is not progress, so a
     residual_tol below the energy-resolution floor (about 2e-8 at L = 32,
     N = 1024) ends in DivergedError rather than in spent max_iters.
-    Recentring (autonomous runs only) shifts the iterate by whole cells when
-    the concentration point drifts beyond L/4.
+    Recentring (autonomous runs only) shifts the start by whole cells when it
+    concentrates beyond L/4; the iteration commutes with such shifts.
     """
     grid = config.grid()
     spec, alpha = config.nonlinearity(), config.alpha
@@ -180,6 +178,12 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     if float(np.max(u0.values)) <= 0.0:
         raise NoPositivePartError("initial field has no positive part")
     u0, _ = _best_translate(u0, spec)
+    cells = 0
+    if config.autonomous:
+        centre = vanishing_diagnostic(u0, config.window_radius).argmax_y
+        if abs(centre) > grid.half_width / 4.0:
+            cells = int(round(centre / grid.spacing))
+            u0 = shift_cells(u0, -cells)
 
     proj = nehari_project(u0, spec, alpha)
     u = proj.projected
@@ -189,23 +193,21 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     residual_history: list[float] = []
     energy_history = [current_energy]
     tau = config.step
-    total_shift = 0.0
     iterations = 0
 
     def report(converged: bool) -> SolveReport:
         diag = vanishing_diagnostic(u, config.window_radius)
         return SolveReport(
             field=u,
-            level=energy(u, spec, alpha).total,
+            level=current_energy,
             residual_history=residual_history,
             sigma_history=sigma_history,
             energy_history=energy_history,
             iterations=iterations,
             converged=converged,
-            vanishing_profile=diag.pairs(),
             max_mass=diag.max_mass,
             argmax_y=diag.argmax_y,
-            recentred_shift=total_shift,
+            recentred_shift=cells * grid.spacing,
             nehari_residual=nehari_residual,
         )
 
@@ -236,13 +238,6 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
                     report(False),
                 )
         iterations += 1
-        if config.recentre and config.autonomous:
-            diag = vanishing_diagnostic(u, config.window_radius)
-            if abs(diag.argmax_y) > grid.half_width / 4.0:
-                cells = int(round(diag.argmax_y / grid.spacing))
-                u = shift_cells(u, -cells)
-                total_shift += cells * grid.spacing
-                current_energy = energy(u, spec, alpha).total
         energy_history.append(current_energy)
 
     # max_iters exhausted; record the final residual for the report
@@ -401,10 +396,8 @@ def compare_levels(config: SolveConfig) -> LevelComparison:
     under the perturbed functional already has energy below the autonomous
     level whenever the perturbation is active somewhere.
     """
-    perturbed_cfg = replace(config, autonomous=False, recentre=False)
-    autonomous_cfg = replace(config, autonomous=True)
-    perturbed = solve_ground_state(perturbed_cfg)
-    autonomous = solve_ground_state(autonomous_cfg)
+    perturbed = solve_ground_state(replace(config, autonomous=False))
+    autonomous = solve_ground_state(replace(config, autonomous=True))
     gap = autonomous.level - perturbed.level
     strict = gap > 10.0 * config.residual_tol
     one_shot = nehari_project(autonomous.field, config.spec, config.alpha)

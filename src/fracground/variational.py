@@ -165,28 +165,26 @@ def nehari_project(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> Ne
     f(t, .) is homogeneous of degree p, so the fiber equation
     ||u||_alpha^2 = integral f(t, sigma u) u / sigma has the closed-form root
     sigma = (||u||_alpha^2 / integral f(t, u) u)^(1/(p-1)); a non-homogeneous
-    family would need a root-finder again.  The quotient is taken on u / max(u),
-    so u_+^(p+1) neither overflows nor underflows; a sigma that is not finite
-    and positive (||u||_alpha^2 underflowed) raises NoPositivePartError.
+    family would need a root-finder again.  As f(t, xi) xi = (p+1) F(t, xi),
+    sigma takes one power pass on u / max(u), where u_+^(p+1) neither
+    overflows nor underflows, and the residual reads the projected energy's
+    potential.  A sigma that is not finite and positive (||u||_alpha^2
+    underflowed) raises NoPositivePartError.
     """
     alpha = _validate_solver_order(alpha)
     peak = float(np.max(u.values))
     if peak <= 0.0:
         raise NoPositivePartError("field has no positive part; no fiber maximizer exists")
-    grid, h = u.grid, u.grid.spacing
-
-    def pairing(values: np.ndarray) -> float:
-        return h * float(np.sum(eval_f(spec, grid, values) * values))
-
+    grid, power = u.grid, spec.p + 1.0
     unit_norm_sq = h_alpha_norm_sq(u, alpha) / peak / peak
-    unit_sigma = (unit_norm_sq / pairing(u.values / peak)) ** (1.0 / (spec.p - 1.0))
-    sigma = unit_sigma / peak
+    unit_pairing = power * grid.spacing * float(np.sum(eval_F(spec, grid, u.values / peak)))
+    sigma = (unit_norm_sq / unit_pairing) ** (1.0 / (spec.p - 1.0)) / peak
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise NoPositivePartError(f"fiber scale {sigma!r} is not finite and positive")
     projected = sigma * u
     breakdown = energy(projected, spec, alpha)
     # <grad E(w), w> / ||w||_alpha^2 at w = sigma u, with the norm of w itself
-    residual = 1.0 - pairing(projected.values) / (2.0 * breakdown.quadratic)
+    residual = 1.0 - power * breakdown.potential / (2.0 * breakdown.quadratic)
     return NehariResult(sigma, projected, residual, breakdown.total)
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from fracground.cli import run
 from fracground.config import DEFAULTS
+from fracground.grid import field_from_csv
+from fracground.solver import vanishing_diagnostic
 
 FAST = [
     "--set", "N=1024",
@@ -31,8 +33,21 @@ class TestSolveCommand:
         summary = capsys.readouterr().out
         assert "level=" in summary and "iterations=" in summary
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["converged"] is True
+
+    def test_report_mass_matches_field_csv(self, tmp_path):
+        # the report keeps no per-node profile: field.csv and the manifest restore it
+        out = tmp_path / "run"
+        assert run(["solve", "--output-dir", str(out), *FAST]) == 0
+        report = json.loads((out / "report.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "vanishing_profile" not in report
+        diag = vanishing_diagnostic(
+            field_from_csv(str(out / "field.csv")), manifest["config"]["window_radius"]
+        )
+        assert report["max_mass"] == diag.max_mass
+        assert report["argmax_y"] == diag.argmax_y
 
     def test_alpha_out_of_range_exits_2(self, tmp_path, capsys):
         code = run(["solve", "--output-dir", str(tmp_path / "x"), "--set", "alpha=0.4"])
@@ -41,9 +56,11 @@ class TestSolveCommand:
         assert "(1/2, 1)" in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        code = run(["solve", "--output-dir", str(tmp_path / "x"), "--set", "alpa=0.7"])
-        assert code == 2
-        assert "alpa" in capsys.readouterr().err
+        # recentre is no key: recentring is a fixed step before descent
+        for item in ("alpa=0.7", "recentre=true"):
+            code = run(["solve", "--output-dir", str(tmp_path / "x"), "--set", item])
+            assert code == 2
+            assert item.split("=")[0] in capsys.readouterr().err
 
     def test_not_converged_exits_1(self, tmp_path):
         code = run(["solve", "--output-dir", str(tmp_path / "x"), *FAST, "--set", "max_iters=2"])

@@ -18,6 +18,7 @@ from fracground import (
     solve_ground_state,
     vanishing_diagnostic,
 )
+from fracground import solver as solver_module
 from fracground.grid import save_field_json
 from fracground.variational import _best_translate
 
@@ -99,7 +100,7 @@ class TestSolveGroundState:
         assert report.converged
         assert report.residual_history[-1] <= 1e-7
         assert abs(report.nehari_residual) <= 1e-9
-        # accepted energies never increase (recentring only permutes values)
+        # accepted energies never increase: a step must lower the energy strictly
         diffs = np.diff(report.energy_history)
         assert np.all(diffs <= 1e-12)
         # converged run concentrates: the vanishing alternative fails
@@ -134,6 +135,19 @@ class TestSolveGroundState:
         # the off-centre bump concentrates past L/4, so it was pulled back
         assert report.recentred_shift != 0.0
         assert abs(report.argmax_y) <= 8.0
+
+    def test_diagnostic_runs_before_descent_and_for_the_report(self, monkeypatch):
+        # once on the start (recentring) and once on the result, not once per step
+        calls = []
+
+        def counted(u, r):
+            calls.append(1)
+            return vanishing_diagnostic(u, r)
+
+        monkeypatch.setattr(solver_module, "vanishing_diagnostic", counted)
+        report = solve_ground_state(autonomous_config(half_width=32.0, n_points=1024))
+        assert report.converged and report.iterations > 2
+        assert len(calls) <= 2
 
     def test_no_positive_part_init(self):
         config = autonomous_config(init=InitSpec(amplitude=-1.0))
@@ -287,8 +301,8 @@ class TestAutonomy:
         assert (resolved.p, resolved.theta, resolved.p0) == (spec.p, spec.theta, spec.p0)
 
     def test_flag_equals_autonomous_spec(self):
-        # without recentring, autonomy is nothing but the a = 0 spec
-        grid = dict(half_width=32.0, n_points=1024, recentre=False)
+        # a centred start is not recentred, so autonomy is nothing but the a = 0 spec
+        grid = dict(half_width=32.0, n_points=1024)
         by_flag = solve_ground_state(SolveConfig(autonomous=True, **grid))
         by_spec = solve_ground_state(
             SolveConfig(spec=NonlinearitySpec().autonomous(), autonomous=False, **grid)
