@@ -270,10 +270,9 @@ def translate(fld: SpectralField, shift: float) -> SpectralField:
 
 def field_to_csv(fld: SpectralField, path: str) -> None:
     """Write a field as CSV with columns t, u (shortest round-trip floats)."""
+    rows = "".join(f"{t!r},{u!r}\n" for t, u in zip(fld.grid.nodes.tolist(), fld.values.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,u\n")
-        for t, u in zip(fld.grid.nodes, fld.values):
-            fh.write(f"{float(t)!r},{float(u)!r}\n")
+        fh.write("t,u\n" + rows)
 
 
 def field_from_csv(path: str) -> SpectralField:

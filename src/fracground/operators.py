@@ -57,20 +57,31 @@ IMAG_RESIDUE_LIMIT = 1e-10
 SYMBOL_KINDS = ("left_deriv", "right_deriv", "left_int", "right_int", "composed", "resolvent")
 
 
-def validate_order(alpha: float, *, integral: bool = False) -> float:
-    """Check a fractional order for operator use.
+#: order ranges, all ending at 1: name -> (lower end, 1 included, error text)
+_ORDER_RANGES = {
+    "derivative": (0.0, True, "derivative order must lie in (0, 1]"),
+    "integral": (0.0, False, "integral order must lie in (0, 1)"),
+    "variational": (
+        0.5, True,
+        "the variational problem requires alpha in (1/2, 1) "
+        "(alpha = 1 is allowed as the classical validation limit)",
+    ),
+}
 
-    Derivatives accept alpha in (0, 1] (alpha = 1 is the classical limit,
-    kept for cross-checks); integrals accept alpha in (0, 1).
+
+def validate_order(alpha: float, *, within: str = "derivative") -> float:
+    """Check a fractional order against a named range; return it as a float.
+
+    ``derivative`` accepts alpha in (0, 1] (alpha = 1 is the classical limit,
+    kept for cross-checks), ``integral`` accepts (0, 1), and ``variational``,
+    the range of the energy functional, accepts (1/2, 1].
     """
     alpha = float(alpha)
-    if not np.isfinite(alpha):
+    lower, closed, text = _ORDER_RANGES[within]
+    if not math.isfinite(alpha):
         raise ValueError(f"order must be finite, got {alpha}")
-    if integral:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"integral order must lie in (0, 1), got {alpha}")
-    elif not 0.0 < alpha <= 1.0:
-        raise ValueError(f"derivative order must lie in (0, 1], got {alpha}")
+    if not (lower < alpha < 1.0 or (closed and alpha == 1.0)):
+        raise ValueError(f"{text}, got {alpha}")
     return alpha
 
 
@@ -106,7 +117,7 @@ def multiplier_symbol(grid: Grid1D, alpha: float, kind: str) -> np.ndarray:
         composed, _, resolvent = _even_symbols(grid, alpha)
         return composed if kind == "composed" else resolvent
 
-    validate_order(alpha, integral=kind in ("left_int", "right_int"))
+    validate_order(alpha, within="integral" if kind in ("left_int", "right_int") else "derivative")
     sign = 1.0 if kind.startswith("left") else -1.0
     power = alpha if kind.endswith("deriv") else -alpha
     m = grid.nyquist_index
@@ -280,14 +291,36 @@ class HAlphaNorm(NamedTuple):
 
 
 def h_alpha_norm_sq(u: SpectralField, alpha: float) -> float:
-    """Squared fractional Sobolev norm ||u||_L2^2 + || |w|^alpha u_hat ||^2 (spectral side only)."""
-    return _spectrum_norm_sq(u.grid, u.spectrum, alpha)
+    """Squared fractional Sobolev norm ||u||_L2^2 + || |w|^alpha u_hat ||^2 (spectral side only).
+
+    The spectrum of a field is Hermitian, so only its modes k <= N/2 are read.
+    """
+    return _pairing(u.grid, u.spectrum, u.spectrum, alpha)
 
 
-def _spectrum_norm_sq(grid: Grid1D, spectrum: np.ndarray, alpha: float) -> float:
-    """``h_alpha_norm_sq`` of the field with this spectrum, given without its values."""
-    _, weight, _ = _even_symbols(grid, alpha)
-    return float(grid.frequency_step / (2.0 * np.pi) * np.sum(weight * np.abs(spectrum) ** 2))
+def _pairing(grid: Grid1D, x: np.ndarray, y: np.ndarray, alpha: float) -> float:
+    """<x, y>_alpha = dw/2pi sum_k (1 + |w_k|^(2 alpha)) Re(x_k conj y_k) of two Hermitian spectra.
+
+    Mode N - k of a Hermitian spectrum mirrors mode k, so the sum reads only
+    k <= N/2, interior modes weighted twice, as one dot of the interleaved
+    real and imaginary parts against the cached weights.
+    """
+    m = grid.nyquist_index
+    weights = _cached_pairing_weights(grid.half_width, grid.n_points, validate_order(alpha))
+    return float(weights @ (x[: m + 1].view(np.float64) * y[: m + 1].view(np.float64)))
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_pairing_weights(half_width: float, n_points: int, alpha: float) -> np.ndarray:
+    """Read-only dw/2pi (1 + |w_k|^(2 alpha)) for k <= N/2, doubled for 0 < k < N/2,
+    each entry repeated for the real and the imaginary part; dw/2pi = 1/(2L)."""
+    _, k_symbol, _ = _cached_even_symbols(half_width, n_points, alpha)
+    m = n_points // 2
+    half = k_symbol[: m + 1] / (2.0 * half_width)
+    half[1:m] *= 2.0
+    weights = np.repeat(half, 2)
+    weights.flags.writeable = False
+    return weights
 
 
 def h_alpha_norm(u: SpectralField, alpha: float) -> HAlphaNorm:

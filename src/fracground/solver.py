@@ -25,11 +25,11 @@ from .errors import DivergedError, EndpointNotNegativeError, NoPositivePartError
 from .grid import Grid1D, SpectralField, gaussian_field, load_field_json, make_grid, shift_cells
 from .nonlinearity import NonlinearitySpec
 # h_alpha_norm_sq is unused here: it is bound by name so that bench/tracer.py can rebind it
-from .operators import _spectrum_norm_sq, h_alpha_norm_sq
+from .operators import _pairing, h_alpha_norm_sq, validate_order
 from .variational import (
     _best_translate,
+    _segment_bounds,
     _segment_energies,
-    _validate_solver_order,
     energy,
     gradient,
     nehari_project,
@@ -50,6 +50,10 @@ __all__ = [
 
 #: descent step size below which the line search gives up
 _STEP_UNDERFLOW = 1e-8
+
+#: relative margin by which a segment's bound must fall short of the best
+#: sampled energy before the segment is skipped; it covers the rounding of both
+_BOUND_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,7 @@ class SolveConfig:
             raise ValueError(f"residual_tol must be >= 1e-12, got {self.residual_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        _validate_solver_order(self.alpha)
+        validate_order(self.alpha, within="variational")
 
     def grid(self) -> Grid1D:
         return make_grid(self.half_width, self.n_points)
@@ -255,6 +259,8 @@ class MountainPassReport:
     initial_node_energies: list[float]
     endpoint_scale: float
     sweeps: int
+    sweep_max: list[float]
+    segments_searched: int
 
 
 def mountain_pass_path(
@@ -273,12 +279,18 @@ def mountain_pass_path(
     nodes by arclength so the crossing region stays resolved.  Endpoints are
     pinned, so the polyline remains an admissible path throughout, and its
     maximal energy is an upper bound for the min-max level that decreases
-    with the sweep count.  It is located by nested sampling on every segment,
-    where the quadratic part is a closed-form quadratic in the segment
-    parameter and the potential at all samples of one level is one
-    evaluation on a stacked array.  The path is held as fields, whose
-    arithmetic carries the spectrum, so only the seed and the gradients (two
-    transforms each) make transforms.
+    with the sweep count; ``sweep_max`` records the highest node energy at
+    the start of each sweep and after the last.  The maximum is located by
+    nested sampling on segments, where the quadratic part is a closed-form
+    quadratic in the segment parameter and the potential at all samples of
+    one level is one evaluation on a stacked array.  Segments are sampled in
+    order of a falling upper bound of E on them
+    (``variational._segment_bounds``), and the search stops at the first
+    bound below the best sampled energy less a 1e-12 relative margin: no
+    later segment can hold a larger sample, so the maximum is the one over
+    all segments.  The path is held as fields, whose arithmetic carries the
+    spectrum, so only the seed and the gradients (two transforms each) make
+    transforms; norms and distances read only the half spectrum k <= N/2.
     """
     if n_nodes < 5:
         raise ValueError(f"need at least 5 path nodes, got {n_nodes}")
@@ -293,7 +305,8 @@ def mountain_pass_path(
         return energy(u, spec, alpha).total
 
     def distance(a: SpectralField, b: SpectralField) -> float:
-        return float(np.sqrt(_spectrum_norm_sq(a.grid, b.spectrum - a.spectrum, alpha)))
+        diff = b.spectrum - a.spectrum
+        return float(np.sqrt(_pairing(a.grid, diff, diff, alpha)))
 
     scale = float(endpoint_scale)
     while node_energy(scale * u_init) >= 0.0:
@@ -339,8 +352,9 @@ def mountain_pass_path(
         resampled.append(path[-1])
         path[:] = resampled
 
+    energies = list(initial_energies)
+    sweep_max = [max(energies)]
     for _ in range(n_deform):
-        energies = [node_energy(u) for u in path]
         top = int(np.argmax(energies))
         if 0 < top < n_nodes - 1:
             for _ in range(3):
@@ -350,6 +364,8 @@ def mountain_pass_path(
                 continue
             relax(i, energies)
         reparametrize()
+        energies = [node_energy(u) for u in path]
+        sweep_max.append(max(energies))
 
     def segment_max(a: SpectralField, b: SpectralField, n_sub: int = 17, depth: int = 4) -> float:
         lo, hi = 0.0, 1.0
@@ -363,14 +379,21 @@ def mountain_pass_path(
             lo, hi = max(0.0, lams[j] - span), min(1.0, lams[j] + span)
         return best
 
-    node_energies = [node_energy(u) for u in path]
-    path_max = max(segment_max(path[i], path[i + 1]) for i in range(len(path) - 1))
+    bounds = _segment_bounds(path, spec, alpha)
+    path_max, searched = -np.inf, 0
+    for i in np.argsort(-bounds, kind="stable"):
+        if bounds[i] < path_max - _BOUND_MARGIN * abs(path_max):
+            break
+        path_max = max(path_max, segment_max(path[i], path[i + 1]))
+        searched += 1
     return MountainPassReport(
         path_max_energy=float(path_max),
-        node_energies=node_energies,
+        node_energies=energies,
         initial_node_energies=initial_energies,
         endpoint_scale=scale,
         sweeps=n_deform,
+        sweep_max=sweep_max,
+        segments_searched=searched,
     )
 
 

@@ -22,7 +22,14 @@ from .errors import NoPositivePartError
 from .grid import SpectralField, translate
 # eval_df is unused here; bench/tracer.py binds it in this module and fails if it is missing
 from .nonlinearity import NonlinearitySpec, _coefficient, _power_plus, eval_F, eval_df, eval_f
-from .operators import _even_symbols, apply_multiplier, h_alpha_norm_sq, multiplier_symbol
+from .operators import (
+    _even_symbols,
+    _pairing,
+    apply_multiplier,
+    h_alpha_norm_sq,
+    multiplier_symbol,
+    validate_order,
+)
 
 __all__ = [
     "EnergyBreakdown",
@@ -38,16 +45,6 @@ __all__ = [
 ]
 
 
-def _validate_solver_order(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.5 < alpha <= 1.0:
-        raise ValueError(
-            f"the variational problem requires alpha in (1/2, 1) "
-            f"(alpha = 1 is allowed as the classical validation limit), got {alpha}"
-        )
-    return alpha
-
-
 @dataclass(frozen=True)
 class EnergyBreakdown:
     quadratic: float
@@ -57,7 +54,7 @@ class EnergyBreakdown:
 
 def energy(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> EnergyBreakdown:
     """Energy 1/2 ||u||_alpha^2 - integral F(t, u)."""
-    alpha = _validate_solver_order(alpha)
+    alpha = validate_order(alpha, within="variational")
     quad = 0.5 * h_alpha_norm_sq(u, alpha)
     pot = float(u.grid.spacing * np.sum(eval_F(spec, u.grid, u.values)))
     return EnergyBreakdown(quad, pot, quad - pot)
@@ -85,7 +82,7 @@ def gradient(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> Gradient
     norm of the preconditioned gradient is the reported residual, a
     mesh-robust stationarity measure.
     """
-    alpha = _validate_solver_order(alpha)
+    alpha = validate_order(alpha, within="variational")
     grid = u.grid
     f_field = SpectralField.from_values(grid, eval_f(spec, grid, u.values))
     precond = u - apply_multiplier(f_field, multiplier_symbol(grid, alpha, "resolvent"))
@@ -104,10 +101,7 @@ def _segment_energies(
     on the stack of the combined values.
     """
     grid = a.grid
-    _, k_symbol, _ = _even_symbols(grid, alpha)
-    cross = grid.frequency_step / (2.0 * np.pi) * np.sum(
-        k_symbol * (a.spectrum * b.spectrum.conj()).real
-    )
+    cross = _pairing(grid, a.spectrum, b.spectrum, alpha)
     lam = np.asarray(lams, dtype=float)
     quad = 0.5 * (
         (1.0 - lam) ** 2 * h_alpha_norm_sq(a, alpha)
@@ -116,6 +110,42 @@ def _segment_energies(
     )
     stack = (1.0 - lam)[:, None] * a.values + lam[:, None] * b.values
     return quad - grid.spacing * np.sum(eval_F(spec, grid, stack), axis=1)
+
+
+def _segment_bounds(path: list[SpectralField], spec: NonlinearitySpec, alpha: float) -> np.ndarray:
+    """An upper bound of E on each segment (1 - lam) a + lam b of a polyline of fields.
+
+    Along a segment E = Q - P, where Q = ||.||_alpha^2 / 2 is a convex
+    quadratic in lam and P = h sum F(t, .) is convex and >= 0 (F(t, .) is
+    convex, with a >= 0).  So P lies above 0 and above its tangent lines at
+    both ends, P(0) + lam P'(0) and P(1) - (1 - lam) P'(1), where
+    P'(0) = h sum f(t, a)(b - a) and P'(1) = h sum f(t, b)(b - a), and
+    U = Q - max(0, both tangents) >= E.  Between the crossings of the three
+    lines U is convex, so its maximum over [0, 1] is its largest value at 0,
+    1 or a crossing.
+    """
+    grid = path[0].grid
+    h = grid.spacing
+    pot = h * np.array([np.sum(eval_F(spec, grid, u.values)) for u in path])
+    force = [eval_f(spec, grid, u.values) for u in path]
+    steps = [b.values - a.values for a, b in zip(path, path[1:])]
+    p0, p1 = pot[:-1, None], pot[1:, None]
+    d0 = h * np.array([f @ step for f, step in zip(force, steps)])[:, None]
+    d1 = h * np.array([f @ step for f, step in zip(force[1:], steps)])[:, None]
+    norms = np.array([_pairing(grid, u.spectrum, u.spectrum, alpha) for u in path])
+    cross = np.array([_pairing(grid, a.spectrum, b.spectrum, alpha) for a, b in zip(path, path[1:])])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # where each tangent meets 0, and where the two tangents meet
+        crossings = np.hstack([-p0 / d0, (d1 - p1) / d1, (p1 - d1 - p0) / (d0 - d1)])
+    ends = np.broadcast_to([0.0, 1.0], (len(cross), 2))
+    lam = np.hstack([ends, np.clip(np.nan_to_num(crossings), 0.0, 1.0)])
+    quad = 0.5 * (
+        (1.0 - lam) ** 2 * norms[:-1, None]
+        + 2.0 * lam * (1.0 - lam) * cross[:, None]
+        + lam ** 2 * norms[1:, None]
+    )
+    lines = np.maximum(0.0, np.maximum(p0 + lam * d0, p1 - (1.0 - lam) * d1))
+    return np.max(quad - lines, axis=1)
 
 
 @dataclass(frozen=True)
@@ -137,7 +167,7 @@ def fiber_map(u: SpectralField, spec: NonlinearitySpec, alpha: float, sigma_grid
     the sampled version of fiber unimodality (one + to - change for fields
     with nonzero positive part).
     """
-    alpha = _validate_solver_order(alpha)
+    alpha = validate_order(alpha, within="variational")
     sigmas = np.asarray(list(sigma_grid), dtype=float)
     if sigmas.size == 0 or np.any(sigmas <= 0):
         raise ValueError("sigma grid must be nonempty and positive")
@@ -171,7 +201,7 @@ def nehari_project(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> Ne
     potential.  A sigma that is not finite and positive (||u||_alpha^2
     underflowed) raises NoPositivePartError.
     """
-    alpha = _validate_solver_order(alpha)
+    alpha = validate_order(alpha, within="variational")
     peak = float(np.max(u.values))
     if peak <= 0.0:
         raise NoPositivePartError("field has no positive part; no fiber maximizer exists")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracground import (
+    SolveConfig,
     SpectralField,
     field_from_csv,
     field_from_json,
@@ -14,6 +15,7 @@ from fracground import (
     lp_norm,
     make_grid,
     shift_cells,
+    solve_ground_state,
     spectral_l2_norm,
     translate,
 )
@@ -213,6 +215,13 @@ class TestSerialization:
         back = field_from_csv(str(path))
         assert back.grid == small_grid
         assert np.array_equal(back.values, u.values)
+
+    def test_csv_bytes_match_row_by_row_format(self, tmp_path):
+        u = solve_ground_state(SolveConfig()).field
+        path = tmp_path / "field.csv"
+        field_to_csv(u, str(path))
+        rows = "".join(f"{float(t)!r},{float(x)!r}\n" for t, x in zip(u.grid.nodes, u.values))
+        assert path.read_bytes() == ("t,u\n" + rows).encode("utf-8")
 
     def test_json_round_trip(self, small_grid, rng):
         u = random_band_limited_field(small_grid, rng)

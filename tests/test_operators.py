@@ -23,6 +23,8 @@ from fracground.checks import conformance_checks, random_band_limited_field
 from fracground.operators import (
     GL_WEIGHT_CUTOFF,
     TAIL_BAND_START,
+    _even_symbols,
+    _pairing,
     _tail_mass,
     apply_multiplier,
     fftconvolve,
@@ -108,9 +110,12 @@ class TestSymbols:
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             validate_order(1.5)
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
-            validate_order(1.0, integral=True)
+            validate_order(1.0, within="integral")
         with pytest.raises(ValueError):
             validate_order(0.0)
+        with pytest.raises(ValueError, match="variational problem"):
+            validate_order(0.5, within="variational")
+        assert validate_order(1, within="variational") == 1.0
 
 
 class TestFractionalDerivative:
@@ -313,6 +318,22 @@ class TestHAlphaNorm:
         integrand = lambda w: w ** (2 * alpha) * 2 * np.pi * np.exp(-w ** 2)
         expected_sq = 2 * quad(integrand, 0, 20)[0] / (2 * np.pi)
         assert abs(h_alpha_norm(u, alpha).seminorm - np.sqrt(expected_sq)) < 1e-6
+
+    @pytest.mark.parametrize("n_points", [16, 4096])
+    def test_half_spectrum_pairing_matches_full_sum(self, rng, n_points):
+        # white noise and a pure Nyquist mode (-1)^j both put energy in k = N/2
+        grid = make_grid(8.0, n_points)
+        noise = SpectralField.from_values(grid, rng.standard_normal(n_points))
+        nyquist = SpectralField.from_values(grid, (-1.0) ** np.arange(n_points) + 0.5)
+        smooth = gaussian_field(grid, center=0.3, width=1.5)
+        for alpha in (0.6, 0.75, 1.0):
+            _, k_symbol, _ = _even_symbols(grid, alpha)
+            for x, y in ((noise, noise), (nyquist, nyquist), (noise, nyquist), (noise, smooth)):
+                full = grid.frequency_step / (2.0 * np.pi) * np.sum(
+                    k_symbol * (x.spectrum * y.spectrum.conj()).real
+                )
+                half = _pairing(grid, x.spectrum, y.spectrum, alpha)
+                assert abs(half - full) <= 1e-13 * abs(full)
 
     def test_norm_combines_l2_and_seminorm(self, default_grid, rng):
         u = random_band_limited_field(default_grid, rng)

@@ -284,6 +284,35 @@ class TestMountainPass:
         ]
         assert all(later <= earlier for earlier, later in zip(maxima, maxima[1:]))
 
+    def test_sweep_max_and_segments_searched(self):
+        config = SolveConfig(half_width=32.0, n_points=1024, autonomous=True)
+        for n_deform in (0, 3):
+            report = mountain_pass_path(config, n_nodes=9, n_deform=n_deform)
+            assert len(report.sweep_max) == n_deform + 1
+            assert report.sweep_max[0] == max(report.initial_node_energies)
+            assert report.sweep_max[-1] == max(report.node_energies)
+            assert 1 <= report.segments_searched <= 9 - 1
+
+    @pytest.mark.parametrize("autonomous", [False, True])
+    def test_pruned_search_equals_all_segments(self, monkeypatch, autonomous):
+        config = SolveConfig(half_width=32.0, n_points=1024, autonomous=autonomous)
+        pruned = mountain_pass_path(config, n_nodes=17, n_deform=5)
+        true_bounds = solver_module._segment_bounds
+
+        def run(loosen):
+            # raising a bound keeps it a bound, so the maximum must not move
+            monkeypatch.setattr(
+                solver_module, "_segment_bounds", lambda path, *args: loosen(true_bounds(path, *args))
+            )
+            return mountain_pass_path(config, n_nodes=17, n_deform=5)
+
+        every = run(lambda b: np.full_like(b, np.inf))
+        origin_first = run(lambda b: np.where(np.arange(b.size) == 0, np.inf, b))
+        assert every.segments_searched == 16
+        assert pruned.segments_searched < 16
+        assert pruned.path_max_energy == every.path_max_energy
+        assert origin_first.path_max_energy == every.path_max_energy
+
     def test_endpoint_not_negative_error(self):
         grid_cfg = autonomous_config(
             half_width=32.0, n_points=1024, init=InitSpec(amplitude=1e-12, width=0.5)

@@ -21,7 +21,7 @@ from fracground import (
 )
 from fracground.checks import random_band_limited_field
 from fracground.operators import _even_symbols, apply_multiplier
-from fracground.variational import _segment_energies
+from fracground.variational import _segment_bounds, _segment_energies
 
 SPEC = NonlinearitySpec()
 
@@ -114,6 +114,25 @@ class TestSegmentEnergies:
             closed = _segment_energies(a, b, spec, alpha, lams)
             direct = np.array([energy((1.0 - lam) * a + lam * b, spec, alpha).total for lam in lams])
             assert np.all(np.abs(closed - direct) <= 1e-13 * np.abs(direct))
+
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0])
+    def test_bound_covers_dense_samples(self, small_grid, rng, alpha):
+        # the bound may fall short of a sample only by the rounding margin the search allows
+        lams = np.linspace(0.0, 1.0, 257)
+
+        def bump():
+            c, w, amp = rng.uniform(-3.0, 3.0), rng.uniform(0.5, 3.0), rng.uniform(0.5, 4.0)
+            return gaussian_field(small_grid, c, w, amp)
+
+        for spec in (SPEC, SPEC.autonomous()):
+            for _ in range(4):
+                a, b, noise = bump(), bump(), positive_random_field(small_grid, rng)
+                for pair in ((zero_field(small_grid), b), (a, b), (noise, b), (a, 2.5 * a)):
+                    bound = _segment_bounds(list(pair), spec, alpha)
+                    sampled = np.max(_segment_energies(*pair, spec, alpha, lams))
+                    assert bound.shape == (1,)
+                    assert bound[0] >= sampled - 1e-12 * abs(sampled)
 
 
 class TestFiberMap:
