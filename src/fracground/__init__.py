@@ -23,9 +23,7 @@ from .grid import (
     Grid1D,
     SpectralField,
     field_from_csv,
-    field_from_json,
     field_to_csv,
-    field_to_json,
     gaussian_field,
     inner,
     lp_norm,
@@ -55,7 +53,6 @@ from .operators import (
     h_alpha_norm,
     h_alpha_norm_sq,
     multiplier_symbol,
-    sobolev_embedding_probe,
     validate_order,
 )
 from .solver import (
@@ -74,10 +71,8 @@ from .variational import (
     EnergyBreakdown,
     FiberScan,
     GradientResult,
-    LevelEstimate,
     NehariResult,
     energy,
-    estimate_level,
     fiber_map,
     gradient,
     nehari_project,
@@ -107,8 +102,6 @@ __all__ = [
     "translate",
     "field_to_csv",
     "field_from_csv",
-    "field_to_json",
-    "field_from_json",
     # operators
     "validate_order",
     "multiplier_symbol",
@@ -119,7 +112,6 @@ __all__ = [
     "HAlphaNorm",
     "h_alpha_norm",
     "h_alpha_norm_sq",
-    "sobolev_embedding_probe",
     # nonlinearity
     "Perturbation",
     "NonlinearitySpec",
@@ -136,12 +128,10 @@ __all__ = [
     "GradientResult",
     "FiberScan",
     "NehariResult",
-    "LevelEstimate",
     "energy",
     "gradient",
     "fiber_map",
     "nehari_project",
-    "estimate_level",
     # solver
     "InitSpec",
     "SolveConfig",

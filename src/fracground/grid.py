@@ -6,25 +6,23 @@ continuum Fourier transform
 
     u_hat(w) = integral exp(-i w t) u(t) dt,
 
-so ``spectrum[k] = h * (-1)^k * fft(values)[k]`` with the angular frequencies
-``w_k = pi k / L`` in FFT layout; the phase ``exp(i w_k L)`` that moves the FFT
-origin from index 0 to t = -L is exactly ``(-1)^k``.  With this scaling the discrete
+so ``spectrum[k] = h * (-1)^k * rfft(values)[k]`` at the angular frequencies
+``w_k = pi k / L``; the phase ``exp(i w_k L)`` that moves the FFT origin from
+index 0 to t = -L is exactly ``(-1)^k``.  With this scaling the discrete
 L2 norm of the values equals the (1/2pi)-weighted L2 norm of the spectrum
 (Plancherel), and smooth decaying functions reproduce their analytic
 transforms to near machine precision.
 
-Values are real, so both transforms are real-input ones.  The forward
-transform takes ``rfft`` for ``k <= N/2`` and fills the negative frequencies
-with the exact conjugate mirror, so every spectrum made from values is exactly
-Hermitian.  The spectrum is kept at full length N.  The inverse transform
-returns ``irfft`` of the Hermitian part of a spectrum; the imaginary residue
-that a non-Hermitian spectrum would leave is measured from its anti-Hermitian
-part by Parseval, without a complex inverse.
+Values are real, so u_hat(-w) = conj u_hat(w) and the modes k = 0..N/2 carry
+the whole spectrum: every spectrum, frequency array and multiplier symbol has
+length N/2 + 1.  The forward transform is ``rfft`` and the inverse ``irfft``.
+Modes 0 and N/2 are their own mirrors, so in the spectrum of a real field they
+are real; ``irfft`` drops their imaginary parts, and the inverse reports the
+L2 norm of what it dropped.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,14 +39,12 @@ __all__ = [
     "translate",
     "field_to_csv",
     "field_from_csv",
-    "field_to_json",
-    "field_from_json",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class Grid1D:
-    """Uniform periodic grid on [-L, L) with FFT-layout angular frequencies."""
+    """Uniform periodic grid on [-L, L) with the angular frequencies pi k / L, k = 0..N/2."""
 
     half_width: float
     n_points: int
@@ -86,7 +82,7 @@ def make_grid(half_width: float, n_points: int) -> Grid1D:
         raise ValueError(f"n_points must be >= 16, got {n_points}")
     h = 2.0 * half_width / n_points
     nodes = -half_width + h * np.arange(n_points)
-    freqs = np.fft.fftfreq(n_points, d=h)
+    freqs = np.fft.rfftfreq(n_points, d=h)
     freqs *= 2.0 * np.pi
     nodes.flags.writeable = False
     freqs.flags.writeable = False
@@ -95,7 +91,7 @@ def make_grid(half_width: float, n_points: int) -> Grid1D:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Real-valued sampled function with its continuum-calibrated spectrum.
+    """Real-valued sampled function with its continuum-calibrated spectrum (modes k <= N/2).
 
     Both representations are computed eagerly on construction, so instances
     are immutable and safe to share between threads.  Arithmetic combines
@@ -116,13 +112,9 @@ class SpectralField:
         # checked before the transform, which warns on non-finite input
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
-        m, h = grid.nyquist_index, grid.spacing
-        half = np.fft.rfft(values)
-        # h * (-1)^k * rfft for k <= N/2, then the exact conjugate mirror
-        spectrum = np.empty(grid.n_points, dtype=np.complex128)
-        np.multiply(half[0::2], h, out=spectrum[0 : m + 1 : 2])
-        np.multiply(half[1::2], -h, out=spectrum[1 : m + 1 : 2])
-        np.conjugate(spectrum[m - 1 : 0 : -1], out=spectrum[m + 1 :])
+        spectrum = np.fft.rfft(values)
+        spectrum[0::2] *= grid.spacing
+        spectrum[1::2] *= -grid.spacing
         values.flags.writeable = False
         spectrum.flags.writeable = False
         return cls(grid, values, spectrum)
@@ -173,37 +165,33 @@ class SpectralField:
 
 
 def values_from_spectrum(grid: Grid1D, spectrum: np.ndarray) -> tuple[np.ndarray, float]:
-    """Invert a spectrum to real values; return (values, L2 of imaginary residue).
+    """Invert a spectrum of modes k <= N/2 to real values; return (values, L2 of imaginary residue).
 
-    The values are the real part of the inverse transform, taken as ``irfft``
-    of the Hermitian part ``(S_k + conj S_-k) / 2``.  The imaginary part is the
-    inverse transform of the anti-Hermitian part, so by Parseval its squared
-    discrete L2 norm is ``sum_k |S_k - conj S_-k|^2 / (4 N h)``: zero for the
-    spectrum of a field, and the measure of how far an applied symbol is from
-    keeping real fields real.
+    The values are ``irfft`` of the spectrum with its phase and h undone.
+    ``irfft`` drops the imaginary parts of modes 0 and N/2; kept, they would
+    add an imaginary constant and an imaginary (-1)^j wave to the values,
+    whose discrete L2 norm ``hypot(Im S_0, Im S_N/2) / sqrt(N h)`` is returned:
+    zero for the spectrum of a field, and the measure of how far an applied
+    symbol is from keeping real fields real.
     """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
-    if spectrum.shape != (grid.n_points,):
-        raise ValueError(
-            f"spectrum must have shape ({grid.n_points},), got {spectrum.shape}"
-        )
+    m = grid.nyquist_index
+    if spectrum.shape != (m + 1,):
+        raise ValueError(f"spectrum must have shape ({m + 1},), got {spectrum.shape}")
     if not np.all(np.isfinite(spectrum)):
         raise ValueError("spectrum entries must be finite")
-    n, m = grid.n_points, grid.nyquist_index
-    head = spectrum[: m + 1]
-    # conj S_-k for k = 0..N/2
-    mirror = np.empty(m + 1, dtype=np.complex128)
-    mirror[0] = spectrum[0].conjugate()
-    np.conjugate(spectrum[: m - 1 : -1], out=mirror[1:])
-    odd = head - mirror
-    # modes 0 and N/2 are their own mirrors; every other one stands for two
-    odd_sq = 2.0 * np.vdot(odd[1:m], odd[1:m]).real + abs(odd[0]) ** 2 + abs(odd[m]) ** 2
-    imag_l2 = float(np.sqrt(odd_sq / (4.0 * n * grid.spacing)))
-    # mirror becomes (-1)^k (S_k + conj S_-k) / (2h): the Hermitian part, phase and h undone
-    mirror += head
-    np.divide(mirror[0::2], 2.0 * grid.spacing, out=mirror[0::2])
-    np.divide(mirror[1::2], -2.0 * grid.spacing, out=mirror[1::2])
-    return np.fft.irfft(mirror, n), imag_l2
+    n, h = grid.n_points, grid.spacing
+    imag_l2 = float(np.hypot(spectrum[0].imag, spectrum[m].imag) / np.sqrt(n * h))
+    scaled = spectrum / h
+    scaled[1::2] *= -1.0
+    return np.fft.irfft(scaled, n), imag_l2
+
+
+def _mode_power(spectrum: np.ndarray) -> np.ndarray:
+    """|S_k|^2 for k <= N/2, interior modes doubled: each also stands for its mirror -k."""
+    power = np.abs(spectrum) ** 2
+    power[1:-1] *= 2.0
+    return power
 
 
 def lp_norm(fld: SpectralField, p: float) -> float:
@@ -224,7 +212,7 @@ def lp_norm(fld: SpectralField, p: float) -> float:
 def spectral_l2_norm(fld: SpectralField) -> float:
     """L2 norm evaluated on the spectral side, Plancherel constant folded in."""
     dw = fld.grid.frequency_step
-    return float(np.sqrt(dw / (2.0 * np.pi) * np.sum(np.abs(fld.spectrum) ** 2)))
+    return float(np.sqrt(dw / (2.0 * np.pi) * np.sum(_mode_power(fld.spectrum))))
 
 
 def inner(u: SpectralField, v: SpectralField) -> float:
@@ -252,14 +240,14 @@ def translate(fld: SpectralField, shift: float) -> SpectralField:
     """Translate a field by any real shift, t -> u(t - shift) (periodic).
 
     The spectrum is multiplied by exp(-i w shift), which leaves every spectral
-    norm unchanged.  The Nyquist frequency has no sign, so its factor keeps
+    norm unchanged.  The Nyquist mode is its own mirror, so its factor keeps
     only the real part cos(w shift), which keeps the values real (and scales
     that one mode, negligible on resolved fields); a whole-cell shift is then
     ``shift_cells`` up to rounding.
     """
     grid = fld.grid
     phase = np.exp(-1j * float(shift) * grid.frequencies)
-    phase[grid.nyquist_index] = phase[grid.nyquist_index].real
+    phase[-1] = phase[-1].real
     spectrum = phase * fld.spectrum
     values, _ = values_from_spectrum(grid, spectrum)
     return SpectralField._join(grid, values, spectrum)
@@ -298,28 +286,3 @@ def field_from_csv(path: str) -> SpectralField:
     if not np.allclose(grid.nodes, t_vals, rtol=0, atol=1e-12 * max(1.0, half_width)):
         raise ValueError("CSV nodes are not a uniform [-L, L) grid")
     return SpectralField.from_values(grid, np.asarray(u_vals))
-
-
-def field_to_json(fld: SpectralField) -> dict:
-    """Binary-free JSON record {L, N, values}."""
-    return {
-        "L": fld.grid.half_width,
-        "N": fld.grid.n_points,
-        "values": [float(v) for v in fld.values],
-    }
-
-
-def field_from_json(record: dict) -> SpectralField:
-    grid = make_grid(record["L"], record["N"])
-    return SpectralField.from_values(grid, np.asarray(record["values"], dtype=float))
-
-
-def save_field_json(fld: SpectralField, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(field_to_json(fld), fh)
-        fh.write("\n")
-
-
-def load_field_json(path: str) -> SpectralField:
-    with open(path, "r", encoding="utf-8") as fh:
-        return field_from_json(json.load(fh))

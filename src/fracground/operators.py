@@ -7,10 +7,12 @@ The one-sided derivative of order ``a`` acts on the spectrum as ``(iw)^a``
 
 the one-sided integrals use exponent ``-a``, and the composition
 right-derivative o left-derivative has the real even symbol ``|w|^(2a)``.
+Symbols, like spectra, hold the modes k <= N/2, where w >= 0; the mode -k of a
+real field is the conjugate mirror of mode k, and so is its symbol.
 The zero mode maps to 0 for derivatives and is singular for integrals, so
-integrals reject fields with nonzero mean.  The Nyquist mode carries an
-ambiguous frequency sign and is zeroed for the four one-sided symbols to
-keep real fields real.
+integrals reject fields with nonzero mean.  The Nyquist mode is its own
+mirror, where the two conjugate phases would have to agree, and is zeroed for
+the four one-sided symbols to keep real fields real.
 
 A Grunwald-Letnikov difference-quotient discretization of the same
 derivatives is provided as an independent time-domain oracle; it treats the
@@ -24,12 +26,12 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SpectralTailError, SpectralTailWarning, ZeroModeSingularError
-from .grid import Grid1D, SpectralField, lp_norm, make_grid, values_from_spectrum
+from .grid import Grid1D, SpectralField, _mode_power, lp_norm, make_grid, values_from_spectrum
 
 __all__ = [
     "validate_order",
@@ -42,7 +44,6 @@ __all__ = [
     "HAlphaNorm",
     "h_alpha_norm",
     "h_alpha_norm_sq",
-    "sobolev_embedding_probe",
 ]
 
 #: relative high-frequency mass above which derivative inputs are flagged
@@ -93,7 +94,7 @@ def _even_symbols(grid: Grid1D, alpha: float) -> tuple[np.ndarray, ...]:
 # keyed on the grid's numbers: Grid1D defines __eq__ and so is unhashable
 @functools.lru_cache(maxsize=8)
 def _cached_even_symbols(half_width: float, n_points: int, alpha: float) -> tuple[np.ndarray, ...]:
-    w_pow = np.abs(make_grid(half_width, n_points).frequencies) ** (2.0 * alpha)
+    w_pow = make_grid(half_width, n_points).frequencies ** (2.0 * alpha)
     symbols = (w_pow, w_pow + 1.0, 1.0 / (w_pow + 1.0))
     for sym in symbols:
         sym.flags.writeable = False
@@ -107,9 +108,9 @@ def multiplier_symbol(grid: Grid1D, alpha: float, kind: str) -> np.ndarray:
     ``(|w|^(2 alpha) + 1)^(-1)``; both are real and even so the Nyquist mode
     is kept; both are cached per (grid, alpha) and read-only.  The four
     one-sided kinds are complex, built per call, with the zero and Nyquist
-    entries zeroed.  Their phase ``exp(+-i a pi/2 * sign(w))`` takes one value
-    on w > 0 and its conjugate on w < 0, so each is one real power of the
-    positive frequencies times two scalar phases.
+    entries zeroed.  Every symbol has the N/2 + 1 entries of a spectrum, at
+    w >= 0, where the phase ``exp(+-i a pi/2 * sign(w))`` is one scalar, so
+    each one-sided symbol is a real power of the frequencies times it.
     """
     if kind not in SYMBOL_KINDS:
         raise ValueError(f"unknown symbol kind {kind!r}")
@@ -121,29 +122,24 @@ def multiplier_symbol(grid: Grid1D, alpha: float, kind: str) -> np.ndarray:
     sign = 1.0 if kind.startswith("left") else -1.0
     power = alpha if kind.endswith("deriv") else -alpha
     m = grid.nyquist_index
-    # |w_-k| == w_k bit for bit, so index N - k reuses the power of index k
-    w_pow = grid.frequencies[1:m] ** power
-    phase = np.exp(1j * (power * (np.pi / 2.0) * sign))
-    sym = np.zeros(grid.n_points, dtype=np.complex128)
-    sym[1:m] = w_pow * phase
-    sym[: m : -1] = w_pow * phase.conjugate()
+    sym = np.zeros(m + 1, dtype=np.complex128)
+    sym[1:m] = grid.frequencies[1:m] ** power * np.exp(1j * (power * (np.pi / 2.0) * sign))
     return sym
 
 
 def _tail_mass(u: SpectralField) -> float:
     """Share of the spectral power in the band |w| >= TAIL_BAND_START * max |w|.
 
-    |w_k| rises with min(k, N - k) up to the Nyquist index m, so the band is
-    the index range [k0, N - k0] around m.
+    w_k rises with k up to the Nyquist index, so the band is the tail k >= k0
+    of the modes k <= N/2, each interior mode counted with its mirror.
     """
-    spectrum = u.spectrum
-    total = np.vdot(spectrum, spectrum).real
+    power = _mode_power(u.spectrum)
+    total = power.sum()
     if total == 0.0:
         return 0.0
-    w, m = u.grid.frequencies, u.grid.nyquist_index
-    k0 = int(np.searchsorted(w[:m], TAIL_BAND_START * abs(w[m])))
-    band = spectrum[k0 : u.n_points - k0 + 1]
-    return float(np.vdot(band, band).real / total)
+    w = u.grid.frequencies
+    k0 = int(np.searchsorted(w, TAIL_BAND_START * w[-1]))
+    return float(power[k0:].sum() / total)
 
 
 def _check_tail(u: SpectralField, strict: bool) -> None:
@@ -281,7 +277,7 @@ def gl_oracle(u: SpectralField, alpha: float, side: str) -> SpectralField:
     return SpectralField.from_values(grid, out)
 
 
-# -- norms and embedding ------------------------------------------------------
+# -- norms ---------------------------------------------------------------------
 
 
 class HAlphaNorm(NamedTuple):
@@ -291,23 +287,19 @@ class HAlphaNorm(NamedTuple):
 
 
 def h_alpha_norm_sq(u: SpectralField, alpha: float) -> float:
-    """Squared fractional Sobolev norm ||u||_L2^2 + || |w|^alpha u_hat ||^2 (spectral side only).
-
-    The spectrum of a field is Hermitian, so only its modes k <= N/2 are read.
-    """
+    """Squared fractional Sobolev norm ||u||_L2^2 + || |w|^alpha u_hat ||^2 (spectral side only)."""
     return _pairing(u.grid, u.spectrum, u.spectrum, alpha)
 
 
 def _pairing(grid: Grid1D, x: np.ndarray, y: np.ndarray, alpha: float) -> float:
-    """<x, y>_alpha = dw/2pi sum_k (1 + |w_k|^(2 alpha)) Re(x_k conj y_k) of two Hermitian spectra.
+    """<x, y>_alpha = dw/2pi sum_k (1 + |w_k|^(2 alpha)) Re(x_k conj y_k) over all modes k of two fields.
 
-    Mode N - k of a Hermitian spectrum mirrors mode k, so the sum reads only
-    k <= N/2, interior modes weighted twice, as one dot of the interleaved
-    real and imaginary parts against the cached weights.
+    Mode -k mirrors mode k, so the sum over the stored modes k <= N/2 weights
+    the interior ones twice; it is one dot of the interleaved real and
+    imaginary parts against the cached weights.
     """
-    m = grid.nyquist_index
     weights = _cached_pairing_weights(grid.half_width, grid.n_points, validate_order(alpha))
-    return float(weights @ (x[: m + 1].view(np.float64) * y[: m + 1].view(np.float64)))
+    return float(weights @ (x.view(np.float64) * y.view(np.float64)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -315,9 +307,8 @@ def _cached_pairing_weights(half_width: float, n_points: int, alpha: float) -> n
     """Read-only dw/2pi (1 + |w_k|^(2 alpha)) for k <= N/2, doubled for 0 < k < N/2,
     each entry repeated for the real and the imaginary part; dw/2pi = 1/(2L)."""
     _, k_symbol, _ = _cached_even_symbols(half_width, n_points, alpha)
-    m = n_points // 2
-    half = k_symbol[: m + 1] / (2.0 * half_width)
-    half[1:m] *= 2.0
+    half = k_symbol / (2.0 * half_width)
+    half[1:-1] *= 2.0
     weights = np.repeat(half, 2)
     weights.flags.writeable = False
     return weights
@@ -333,32 +324,9 @@ def h_alpha_norm(u: SpectralField, alpha: float) -> HAlphaNorm:
     """
     grid = u.grid
     w_pow, _, _ = _even_symbols(grid, alpha)
+    power = _mode_power(u.spectrum)
     scale = grid.frequency_step / (2.0 * np.pi)
-    semi_sq = float(scale * np.sum(w_pow * np.abs(u.spectrum) ** 2))
-    l2_sq = float(scale * np.sum(np.abs(u.spectrum) ** 2))
+    semi_sq = float(scale * np.sum(w_pow * power))
+    l2_sq = float(scale * np.sum(power))
     time_semi = lp_norm(apply_multiplier(u, multiplier_symbol(grid, alpha, "left_deriv")), 2)
     return HAlphaNorm(math.sqrt(semi_sq), math.sqrt(semi_sq + l2_sq), time_semi)
-
-
-def sobolev_embedding_probe(samples: Iterable[SpectralField], alpha: float) -> float:
-    """Empirical lower bound for the sup-norm embedding constant.
-
-    Returns max over samples of ||u||_inf / ||u||_alpha.  Only meaningful for
-    alpha > 1/2, where the continuous embedding into bounded functions holds;
-    smaller orders are rejected.
-    """
-    alpha = float(alpha)
-    if alpha <= 0.5:
-        raise ValueError(f"embedding probe requires alpha > 1/2, got {alpha}")
-    validate_order(alpha)
-    best = 0.0
-    count = 0
-    for u in samples:
-        norm = math.sqrt(h_alpha_norm_sq(u, alpha))
-        if norm == 0.0:
-            raise ValueError("embedding probe samples must be nonzero")
-        best = max(best, lp_norm(u, np.inf) / norm)
-        count += 1
-    if count == 0:
-        raise ValueError("embedding probe needs at least one sample")
-    return best

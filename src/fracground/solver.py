@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DivergedError, EndpointNotNegativeError, NoPositivePartError
-from .grid import Grid1D, SpectralField, gaussian_field, load_field_json, make_grid, shift_cells
+from .grid import Grid1D, SpectralField, field_from_csv, gaussian_field, make_grid, shift_cells
 from .nonlinearity import NonlinearitySpec
 # h_alpha_norm_sq is unused here: it is bound by name so that bench/tracer.py can rebind it
 from .operators import _pairing, h_alpha_norm_sq, validate_order
@@ -68,7 +68,7 @@ class InitSpec:
         if self.kind == "gaussian":
             return gaussian_field(grid, self.center, self.width, self.amplitude)
         if self.kind == "custom":
-            fld = load_field_json(self.path)
+            fld = field_from_csv(self.path)
             if fld.grid != grid:
                 raise ValueError(
                     f"custom init grid (L={fld.grid.half_width}, N={fld.grid.n_points}) "

@@ -36,12 +36,10 @@ __all__ = [
     "GradientResult",
     "FiberScan",
     "NehariResult",
-    "LevelEstimate",
     "energy",
     "gradient",
     "fiber_map",
     "nehari_project",
-    "estimate_level",
 ]
 
 
@@ -266,36 +264,3 @@ def _best_translate(u: SpectralField, spec: NonlinearitySpec) -> tuple[SpectralF
         xs, js = ([b, x, c], [jb, jx, jc]) if x > b else ([a, x, b], [ja, jx, jb])
     shift = xs[1]
     return (best if best is not None else translate(u, shift)), shift
-
-
-@dataclass(frozen=True)
-class LevelEstimate:
-    level: float
-    argmin_index: int
-    energies: tuple[float, ...]
-    failures: tuple[tuple[int, str], ...]
-
-
-def estimate_level(spec: NonlinearitySpec, alpha: float, candidates) -> LevelEstimate:
-    """Upper bound for the least critical level: min projected energy over candidates.
-
-    Candidates whose projection fails (no positive part) are skipped and
-    reported; at least one candidate must survive.
-    """
-    energies: list[float] = []
-    failures: list[tuple[int, str]] = []
-    best = np.inf
-    best_idx = -1
-    for i, cand in enumerate(candidates):
-        try:
-            result = nehari_project(cand, spec, alpha)
-        except NoPositivePartError as exc:
-            failures.append((i, str(exc)))
-            energies.append(np.nan)
-            continue
-        energies.append(result.energy)
-        if result.energy < best:
-            best, best_idx = result.energy, i
-    if best_idx < 0:
-        raise NoPositivePartError("every candidate failed to project")
-    return LevelEstimate(best, best_idx, tuple(energies), tuple(failures))

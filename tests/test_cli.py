@@ -62,6 +62,17 @@ class TestSolveCommand:
             assert code == 2
             assert item.split("=")[0] in capsys.readouterr().err
 
+    def test_restart_from_field_csv(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["solve", "--output-dir", str(first), *FAST]) == 0
+        restart = ["--set", "init.kind=custom", "--set", f"init.path={first / 'field.csv'}"]
+        assert run(["solve", "--output-dir", str(second), *FAST, *restart]) == 0
+        report = json.loads((first / "report.json").read_text())
+        again = json.loads((second / "report.json").read_text())
+        # the restart reads the converged field back exactly and stops at once
+        assert again["converged"] is True and again["iterations"] == 0
+        assert abs(again["level"] - report["level"]) <= 1e-12 * report["level"]
+
     def test_not_converged_exits_1(self, tmp_path):
         code = run(["solve", "--output-dir", str(tmp_path / "x"), *FAST, "--set", "max_iters=2"])
         assert code == 1

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,7 @@ from fracground import (
     SolveConfig,
     SpectralField,
     field_from_csv,
-    field_from_json,
     field_to_csv,
-    field_to_json,
     gaussian_field,
     inner,
     lp_norm,
@@ -28,8 +24,8 @@ class TestMakeGrid:
     def test_pi_domain_layout(self):
         grid = make_grid(np.pi, 16)
         assert grid.spacing == 2 * np.pi / 16
-        # with L = pi the angular frequencies are the integers -8..7
-        assert np.allclose(sorted(grid.frequencies), np.arange(-8, 8), atol=1e-14)
+        # with L = pi the angular frequencies are the integers 0..8
+        assert np.allclose(grid.frequencies, np.arange(9), atol=1e-14)
         assert grid.frequencies[0] == 0.0
 
     def test_default_spacing(self):
@@ -37,12 +33,12 @@ class TestMakeGrid:
         assert grid.spacing == 0.03125
         assert grid.spacing * grid.n_points == 2 * grid.half_width
 
-    def test_frequency_antisymmetry_except_nyquist(self):
+    def test_frequencies_are_pi_k_over_l(self):
         grid = make_grid(5.0, 64)
-        w = grid.frequencies
-        for k in range(1, grid.nyquist_index):
-            assert w[k] == -w[grid.n_points - k]
-        assert w[grid.nyquist_index] < 0  # the lone Nyquist entry
+        k = np.arange(grid.nyquist_index + 1)
+        assert grid.frequencies.shape == k.shape
+        assert np.allclose(grid.frequencies, np.pi * k / 5.0, rtol=1e-15, atol=0.0)
+        assert grid.frequencies[-1] > 0  # the Nyquist frequency is +pi N / (2L)
 
     @pytest.mark.parametrize("bad_n", [15, 17, 101])
     def test_odd_n_rejected(self, bad_n):
@@ -66,7 +62,7 @@ class TestTransform:
         u = SpectralField.from_values(small_grid, np.cos(w0 * small_grid.nodes))
         mags = np.abs(u.spectrum)
         hot = np.nonzero(mags > 1e-8 * mags.max())[0]
-        assert set(hot) == {k0, small_grid.n_points - k0}
+        assert set(hot) == {k0}
 
     def test_zero_field(self, small_grid):
         u = SpectralField.from_values(small_grid, np.zeros(small_grid.n_points))
@@ -83,28 +79,51 @@ class TestTransform:
         back = SpectralField.from_spectrum(default_grid, u.spectrum)
         rel = np.max(np.abs(back.values - u.values)) / np.max(np.abs(u.values))
         assert rel < 1e-12
-        # the phase exp(i w_k L) is exactly (-1)^k; above N/2 the spectrum is
-        # the exact conjugate mirror, so it is exactly Hermitian
-        m = default_grid.nyquist_index
-        signs = (-1.0) ** np.arange(m + 1)
-        half = default_grid.spacing * (signs * np.fft.rfft(u.values))
-        expected = np.concatenate((half, np.conj(half[m - 1 : 0 : -1])))
+        # the phase exp(i w_k L) is exactly (-1)^k and the spectrum holds k <= N/2
+        signs = (-1.0) ** np.arange(default_grid.nyquist_index + 1)
+        expected = default_grid.spacing * (signs * np.fft.rfft(u.values))
         assert np.array_equal(SpectralField.from_values(default_grid, u.values).spectrum, expected)
 
     def test_values_and_residue_match_the_complex_inverse(self, default_grid, rng):
         u = random_band_limited_field(default_grid, rng)
+        n, m, h = default_grid.n_points, default_grid.nyquist_index, default_grid.spacing
+        size = np.max(np.abs(u.spectrum))
+        # an interior mode stands for itself and its mirror; modes 0 and N/2 only for themselves
+        kicks = {7: 1e-3 * (1.0 + 2.0j) * size, 0: 3e-4j * size, m: -5e-4j * size}
         spectrum = u.spectrum.copy()
-        spectrum[7] += 1e-3 * (1.0 + 2.0j) * np.max(np.abs(spectrum))
+        signs = (-1.0) ** np.arange(n)
+        full = h * signs * np.fft.fft(u.values)
+        for k, kick in kicks.items():
+            spectrum[k] += kick
+            full[k] += kick
+            if 0 < k < m:
+                full[n - k] += np.conj(kick)
         values, imag_l2 = values_from_spectrum(default_grid, spectrum)
-        scaled = spectrum / default_grid.spacing
-        scaled[1::2] *= -1.0
-        complex_values = np.fft.ifft(scaled)
+        complex_values = np.fft.ifft(signs * full / h)
         expected_imag = np.sqrt(default_grid.spacing * np.sum(complex_values.imag ** 2))
         assert np.max(np.abs(values - complex_values.real)) <= 1e-15 * np.max(np.abs(values))
         assert abs(imag_l2 - expected_imag) <= 1e-12 * expected_imag
 
+    def test_full_length_spectrum_rejected(self, small_grid, rng):
+        u = random_band_limited_field(small_grid, rng)
+        full = np.concatenate((u.spectrum, np.conj(u.spectrum[-2:0:-1])))
+        assert full.shape == (small_grid.n_points,)
+        with pytest.raises(ValueError, match="shape"):
+            values_from_spectrum(small_grid, full)
+        with pytest.raises(ValueError, match="shape"):
+            SpectralField.from_spectrum(small_grid, full)
+
     def test_plancherel(self, default_grid, rng):
         u = random_band_limited_field(default_grid, rng)
+        l2 = lp_norm(u, 2)
+        assert abs(l2 - spectral_l2_norm(u)) < 1e-12 * l2
+
+    @pytest.mark.parametrize("kind", ["noise", "zero_and_nyquist"])
+    def test_plancherel_counts_modes_zero_and_nyquist_once(self, default_grid, rng, kind):
+        # white noise fills every mode; (-1)^j + 0.5 fills only modes 0 and N/2
+        n = default_grid.n_points
+        values = rng.standard_normal(n) if kind == "noise" else (-1.0) ** np.arange(n) + 0.5
+        u = SpectralField.from_values(default_grid, values)
         l2 = lp_norm(u, 2)
         assert abs(l2 - spectral_l2_norm(u)) < 1e-12 * l2
 
@@ -184,6 +203,13 @@ class TestFieldAlgebra:
 
 
 class TestTranslate:
+    def test_nyquist_mode_is_scaled_by_its_cosine(self, small_grid):
+        nyquist = (-1.0) ** np.arange(small_grid.n_points)
+        u = SpectralField.from_values(small_grid, nyquist)
+        shift = 0.3
+        factor = np.cos(small_grid.frequencies[-1] * shift)
+        assert np.max(np.abs(translate(u, shift).values - factor * nyquist)) <= 1e-12
+
     @pytest.mark.parametrize("cells", [1, -7, 100, 511, -512])
     def test_whole_cells_match_shift_cells(self, small_grid, rng, cells):
         u = random_band_limited_field(small_grid, rng)
@@ -222,12 +248,3 @@ class TestSerialization:
         field_to_csv(u, str(path))
         rows = "".join(f"{float(t)!r},{float(x)!r}\n" for t, x in zip(u.grid.nodes, u.values))
         assert path.read_bytes() == ("t,u\n" + rows).encode("utf-8")
-
-    def test_json_round_trip(self, small_grid, rng):
-        u = random_band_limited_field(small_grid, rng)
-        record = field_to_json(u)
-        assert set(record) == {"L", "N", "values"}
-        blob = json.dumps(record)
-        back = field_from_json(json.loads(blob))
-        assert back.grid == small_grid
-        assert np.array_equal(back.values, u.values)

@@ -19,7 +19,7 @@ from fracground import (
     vanishing_diagnostic,
 )
 from fracground import solver as solver_module
-from fracground.grid import save_field_json
+from fracground.grid import field_to_csv
 from fracground.variational import _best_translate
 
 
@@ -190,11 +190,18 @@ class TestSolveGroundState:
     def test_custom_init_round_trip(self, tmp_path):
         grid = make_grid(64.0, 4096)
         seed = gaussian_field(grid, width=1.7)
-        path = tmp_path / "seed.json"
-        save_field_json(seed, str(path))
+        path = tmp_path / "seed.csv"
+        field_to_csv(seed, str(path))
         config = autonomous_config(init=InitSpec(kind="custom", path=str(path)))
         report = solve_ground_state(config)
         assert report.converged
+
+    def test_custom_init_on_another_grid_rejected(self, tmp_path):
+        path = tmp_path / "seed.csv"
+        field_to_csv(gaussian_field(make_grid(64.0, 1024)), str(path))
+        config = autonomous_config(init=InitSpec(kind="custom", path=str(path)))
+        with pytest.raises(ValueError, match="does not match the run grid"):
+            solve_ground_state(config)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="step"):

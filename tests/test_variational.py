@@ -6,7 +6,6 @@ from fracground import (
     NonlinearitySpec,
     SpectralField,
     energy,
-    estimate_level,
     eval_f,
     fiber_map,
     gaussian_field,
@@ -229,48 +228,3 @@ class TestTranslationInvariance:
         for cells in (1, 57, 1024):
             shifted = energy(shift_cells(u, cells), SPEC.autonomous(), 0.75).total
             assert abs(shifted - base) <= 1e-12 * max(1.0, abs(base))
-
-
-class TestEstimateLevel:
-    def test_single_candidate(self, default_grid):
-        u = gaussian_field(default_grid)
-        proj = nehari_project(u, SPEC, 0.75)
-        estimate = estimate_level(SPEC, 0.75, [u])
-        assert estimate.level == pytest.approx(proj.energy)
-        assert estimate.argmin_index == 0
-
-    def test_more_candidates_never_increase(self, default_grid):
-        pool = [
-            gaussian_field(default_grid, width=w, center=c)
-            for w, c in [(1.0, 0.0), (2.0, 1.0), (0.7, -2.0), (3.0, 0.5)]
-        ]
-        levels = [estimate_level(SPEC, 0.75, pool[: k + 1]).level for k in range(len(pool))]
-        assert all(b <= a + 1e-15 for a, b in zip(levels, levels[1:]))
-
-    def test_failures_reported_not_fatal(self, default_grid):
-        bad = SpectralField.from_values(default_grid, -np.exp(-default_grid.nodes ** 2))
-        good = gaussian_field(default_grid)
-        estimate = estimate_level(SPEC, 0.75, [bad, good])
-        assert estimate.argmin_index == 1
-        assert len(estimate.failures) == 1 and estimate.failures[0][0] == 0
-
-    def test_random_gaussians_bound_solver_level(self, default_grid):
-        # Sharp comparison against the descent solver.  The best single
-        # Gaussian shape sits 5.8% above the true level at this order, so the
-        # achievable bound over 20 random bumps is ~6-9%.
-        rng = np.random.default_rng(42)
-        candidates = [
-            gaussian_field(
-                default_grid,
-                center=rng.uniform(-5, 5),
-                width=np.exp(rng.uniform(np.log(0.5), np.log(8.0))),
-                amplitude=rng.uniform(0.5, 2.0),
-            )
-            for _ in range(20)
-        ]
-        estimate = estimate_level(SPEC.autonomous(), 0.75, candidates)
-        report = solve_ground_state(
-            SolveConfig(alpha=0.75, autonomous=True, residual_tol=1e-7)
-        )
-        assert estimate.level >= report.level - 1e-9
-        assert estimate.level <= 1.10 * report.level
