@@ -280,7 +280,6 @@ def field_from_csv(path: str) -> SpectralField:
     n = len(t_vals)
     if n < 2:
         raise ValueError("field CSV must contain at least two rows")
-    h = t_vals[1] - t_vals[0]
     half_width = -t_vals[0]
     grid = make_grid(half_width, n)
     if not np.allclose(grid.nodes, t_vals, rtol=0, atol=1e-12 * max(1.0, half_width)):

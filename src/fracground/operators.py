@@ -16,9 +16,10 @@ the four one-sided symbols to keep real fields real.
 
 A Grunwald-Letnikov difference-quotient discretization of the same
 derivatives is provided as an independent time-domain oracle; it treats the
-field as zero outside the grid, hence its compact-support precondition.  Its
-convolution is a zero-padded product of real-input FFTs, so the package runs
-on numpy alone.
+field as zero outside the grid, hence its compact-support precondition.  It
+convolves the weights with the run of values that are not exactly zero only,
+as a product of real-input FFTs zero-padded to a 2*3*5-smooth length, so the
+package runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -218,14 +219,27 @@ GL_WEIGHT_CUTOFF = 1e-14
 SUPPORT_MARGIN_FRACTION = 0.25
 
 
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, for n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:
+        p = odd
+        while p < best:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 5
+        odd *= 3
+    return best
+
+
 def fftconvolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """First n terms of the linear convolution of two real sequences.
 
-    Both are zero-padded to the power of two m >= len(a) + len(b) - 1, so the
-    circular convolution of the padded sequences, one real-input transform
-    product, is the linear one.
+    Both are zero-padded to the smallest 2*3*5-smooth m >= len(a) + len(b) - 1,
+    so the circular convolution of the padded sequences, one real-input
+    transform product, is the linear one.  At most m terms are returned.
     """
-    m = 1 << (len(a) + len(b) - 2).bit_length()
+    m = _smooth_length(len(a) + len(b) - 1)
     prod = np.fft.rfft(a, m)
     prod *= np.fft.rfft(b, m)
     return np.fft.irfft(prod, m)[:n]
@@ -239,13 +253,16 @@ def gl_weights(alpha: float, max_terms: int) -> np.ndarray:
     return weights[: small[0]] if small.size else weights
 
 
-def _check_support_margin(u: SpectralField) -> None:
+def _check_support_margin(u: SpectralField) -> tuple[int, int]:
+    """Check the support margin; return the run i0..i1 of values not exactly 0 (0, 0 if none)."""
     grid = u.grid
     magnitude = np.abs(u.values)
-    peak = float(np.max(magnitude))
-    if peak == 0.0:
-        return
-    idx = np.flatnonzero(magnitude > 1e-13 * peak)
+    nonzero = np.flatnonzero(magnitude)
+    if nonzero.size == 0:
+        return 0, 0
+    i0, i1 = int(nonzero[0]), int(nonzero[-1]) + 1
+    run = magnitude[i0:i1]
+    idx = i0 + np.flatnonzero(run > 1e-13 * run.max())
     t_lo = grid.nodes[idx[0]]
     t_hi = grid.nodes[idx[-1]]
     margin = min(t_lo + grid.half_width, grid.half_width - t_hi)
@@ -254,6 +271,7 @@ def _check_support_margin(u: SpectralField) -> None:
             f"support margin {margin:.3g} < L/4 = {SUPPORT_MARGIN_FRACTION * grid.half_width:.3g}; "
             "the difference-quotient oracle needs the field to vanish well inside the domain"
         )
+    return i0, i1
 
 
 def gl_oracle(u: SpectralField, alpha: float, side: str) -> SpectralField:
@@ -262,16 +280,23 @@ def gl_oracle(u: SpectralField, alpha: float, side: str) -> SpectralField:
     Independent first-order-accurate discretization used to cross-validate
     the spectral derivatives.  The field is treated as zero outside the grid,
     so its numerical support must stay at least L/4 away from both ends.
+    Only the values that are not exactly 0, the run i0..i1, enter the
+    convolution, against the first N - i0 weights; the output before i0 is 0.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     alpha = validate_order(alpha)
-    _check_support_margin(u)
+    i0, i1 = _check_support_margin(u)
     grid = u.grid
-    weights = gl_weights(alpha, grid.n_points - 1)
-    values = u.values if side == "left" else u.values[::-1]
-    out = fftconvolve(weights, values, grid.n_points)
-    out *= grid.spacing ** (-alpha)
+    n = grid.n_points
+    values = u.values
+    if side == "right":
+        values = values[::-1]
+        i0, i1 = n - i1, n - i0
+    out = np.zeros(n)
+    if i1 > i0:
+        conv = fftconvolve(gl_weights(alpha, n - i0 - 1), values[i0:i1], n - i0)
+        out[i0 : i0 + conv.size] = conv * grid.spacing ** (-alpha)
     if side == "right":
         out = out[::-1]
     return SpectralField.from_values(grid, out)
@@ -319,8 +344,9 @@ def h_alpha_norm(u: SpectralField, alpha: float) -> HAlphaNorm:
 
     The seminorm is || |w|^alpha u_hat || with the Plancherel constant folded
     in; the time-domain variant is the L2 norm of the left fractional
-    derivative, applied as its multiplier without a tail check.  The two agree to near machine precision on resolved fields,
-    which is the numerical form of the norm-equivalence statement.
+    derivative, applied as its multiplier without a tail check.  The two
+    agree to near machine precision on resolved fields, which is the numerical
+    form of the norm-equivalence statement.
     """
     grid = u.grid
     w_pow, _, _ = _even_symbols(grid, alpha)

@@ -242,6 +242,13 @@ class TestSerialization:
         assert back.grid == small_grid
         assert np.array_equal(back.values, u.values)
 
+    def test_csv_with_wrong_row_spacing_is_rejected(self, tmp_path):
+        # starts at -L = -8 with 16 rows, so the grid spacing is 1; the rows step by 0.9
+        path = tmp_path / "field.csv"
+        path.write_text("t,u\n" + "".join(f"{-8.0 + 0.9 * j!r},0.0\n" for j in range(16)))
+        with pytest.raises(ValueError, match="not a uniform"):
+            field_from_csv(str(path))
+
     def test_csv_bytes_match_row_by_row_format(self, tmp_path):
         u = solve_ground_state(SolveConfig()).field
         path = tmp_path / "field.csv"

@@ -24,6 +24,7 @@ from fracground.operators import (
     SYMBOL_KINDS,
     TAIL_BAND_START,
     _pairing,
+    _smooth_length,
     _tail_mass,
     apply_multiplier,
     fftconvolve,
@@ -223,7 +224,8 @@ class TestComposedOperator:
 
 
 class TestGLOracle:
-    @pytest.mark.parametrize("len_a, len_b", [(1, 16), (2, 4096), (15, 100), (4096, 4096)])
+    # (1000, 3001) pads to 4000, a length that is not a power of two
+    @pytest.mark.parametrize("len_a, len_b", [(1, 16), (2, 4096), (15, 100), (1000, 3001), (4096, 4096)])
     def test_fftconvolve_is_the_truncated_linear_convolution(self, rng, len_a, len_b):
         a, b = rng.standard_normal(len_a), rng.standard_normal(len_b)
         n = max(len_a, len_b)
@@ -231,6 +233,21 @@ class TestGLOracle:
         out = fftconvolve(a, b, n)
         assert out.shape == (n,)
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_smooth_length_is_the_next_2_3_5_smooth_integer(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        expected = 1
+        for n in range(1, 3001):
+            expected = expected if expected >= n else next(m for m in range(n, 2 * n + 1) if smooth(m))
+            assert _smooth_length(n) == expected, n
+        assert _smooth_length(1000 + 3001 - 1) == 4000
+        for big in (2 ** 20 + 20000, 2 ** 21 + 20000):
+            assert _smooth_length(big) == next(m for m in range(big, 2 * big + 1) if smooth(m))
 
     def test_fftconvolve_matches_scipy_bit_for_bit(self, rng):
         from scipy.signal import fftconvolve as scipy_fftconvolve
@@ -256,6 +273,24 @@ class TestGLOracle:
         out = gl_oracle(u, 0.7, "left")
         assert np.all(out.values == 0)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("alpha", [0.6, 1.0])
+    def test_off_centre_field_matches_direct_convolution(self, side, alpha):
+        # exp underflows to exactly 0 off t in (-7.3, 47.3): the nonzero run is 1815..3561,
+        # so the run starts at index 1815 on the left and at 534 on the reversed right side
+        grid = make_grid(64.0, 4096)
+        u = SpectralField.from_values(grid, np.exp(-((grid.nodes - 20.0) ** 2)))
+        values = u.values if side == "left" else u.values[::-1]
+        expected = np.convolve(gl_weights(alpha, grid.n_points - 1), values)[: grid.n_points]
+        expected *= grid.spacing ** (-alpha)
+        out = gl_oracle(u, alpha, side).values
+        if side == "right":
+            out = out[::-1]
+        i0 = np.flatnonzero(values)[0]
+        assert i0 > 500
+        assert np.all(out[:i0] == 0.0)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_alpha_one_is_backward_difference(self, default_grid):
         u = SpectralField.from_values(default_grid, np.exp(-default_grid.nodes ** 2))
         out = gl_oracle(u, 1.0, "left")
@@ -273,7 +308,6 @@ class TestGLOracle:
         # grid; dominated by the O(h) truncation term (measured 1.53e-2).
         u = SpectralField.from_values(default_grid, np.exp(-default_grid.nodes ** 2))
         gap = rel_l2(gl_oracle(u, 0.6, "left"), fractional_derivative(u, 0.6, "left"))
-        spectral_norm = 1.0  # rel_l2 already normalizes
         assert 5e-3 < gap < 2.5e-2
 
     def test_first_order_convergence(self):
