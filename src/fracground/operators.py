@@ -18,8 +18,8 @@ A Grunwald-Letnikov difference-quotient discretization of the same
 derivatives is provided as an independent time-domain oracle; it treats the
 field as zero outside the grid, hence its compact-support precondition.  It
 convolves the weights with the run of values that are not exactly zero only,
-as a product of real-input FFTs zero-padded to a 2*3*5-smooth length, so the
-package runs on numpy alone.
+as a zero-padded product of real-input FFTs, so the package runs on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -219,27 +219,14 @@ GL_WEIGHT_CUTOFF = 1e-14
 SUPPORT_MARGIN_FRACTION = 0.25
 
 
-def _smooth_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, for n >= 1."""
-    best = 1 << (n - 1).bit_length()
-    odd = 1
-    while odd < best:
-        p = odd
-        while p < best:
-            best = min(best, p << (-(-n // p) - 1).bit_length())
-            p *= 5
-        odd *= 3
-    return best
-
-
 def fftconvolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """First n terms of the linear convolution of two real sequences.
 
-    Both are zero-padded to the smallest 2*3*5-smooth m >= len(a) + len(b) - 1,
-    so the circular convolution of the padded sequences, one real-input
-    transform product, is the linear one.  At most m terms are returned.
+    Both are zero-padded to the power of two m >= len(a) + len(b) - 1, so the
+    circular convolution of the padded sequences, one real-input transform
+    product, is the linear one.  At most m terms are returned.
     """
-    m = _smooth_length(len(a) + len(b) - 1)
+    m = 1 << (len(a) + len(b) - 2).bit_length()
     prod = np.fft.rfft(a, m)
     prod *= np.fft.rfft(b, m)
     return np.fft.irfft(prod, m)[:n]

@@ -24,7 +24,6 @@ from fracground.operators import (
     SYMBOL_KINDS,
     TAIL_BAND_START,
     _pairing,
-    _smooth_length,
     _tail_mass,
     apply_multiplier,
     fftconvolve,
@@ -224,8 +223,7 @@ class TestComposedOperator:
 
 
 class TestGLOracle:
-    # (1000, 3001) pads to 4000, a length that is not a power of two
-    @pytest.mark.parametrize("len_a, len_b", [(1, 16), (2, 4096), (15, 100), (1000, 3001), (4096, 4096)])
+    @pytest.mark.parametrize("len_a, len_b", [(1, 16), (2, 4096), (15, 100), (4096, 4096)])
     def test_fftconvolve_is_the_truncated_linear_convolution(self, rng, len_a, len_b):
         a, b = rng.standard_normal(len_a), rng.standard_normal(len_b)
         n = max(len_a, len_b)
@@ -233,21 +231,6 @@ class TestGLOracle:
         out = fftconvolve(a, b, n)
         assert out.shape == (n,)
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
-
-    def test_smooth_length_is_the_next_2_3_5_smooth_integer(self):
-        def smooth(m):
-            for p in (2, 3, 5):
-                while m % p == 0:
-                    m //= p
-            return m == 1
-
-        expected = 1
-        for n in range(1, 3001):
-            expected = expected if expected >= n else next(m for m in range(n, 2 * n + 1) if smooth(m))
-            assert _smooth_length(n) == expected, n
-        assert _smooth_length(1000 + 3001 - 1) == 4000
-        for big in (2 ** 20 + 20000, 2 ** 21 + 20000):
-            assert _smooth_length(big) == next(m for m in range(big, 2 * big + 1) if smooth(m))
 
     def test_fftconvolve_matches_scipy_bit_for_bit(self, rng):
         from scipy.signal import fftconvolve as scipy_fftconvolve
