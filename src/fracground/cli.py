@@ -7,8 +7,9 @@ directory.  Outputs carry no timestamps and all floats are written in
 shortest round-trip form, so identical configuration and seed produce
 byte-identical files.
 
-Exit codes: 0 converged/completed, 1 not converged (or a failed check row),
-2 invalid input.
+Exit codes, mapped in ``run`` alone: 0 completed; 1 not converged, a failed
+check row or a package error (``FracgroundError``: ``NoPositivePartError``,
+``DivergedError``, ...); 2 any invalid input (``ValueError`` or ``OSError``).
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ output files per subcommand (all under --output-dir, plus manifest.json):
   fiber-scan           fiber.csv (columns sigma,psi)
   validate-ops         ops_residuals.csv (columns check,alpha,residual,tolerance,passed)
   validate-hypotheses  hypotheses.json (per-hypothesis pass/fail, margins, witnesses)
+
+exit codes:
+  0  converged / completed
+  1  not converged, a failed check row, or a package error (NoPositivePartError, DivergedError, ...)
+  2  invalid input: a bad key, value, file or path (one "error:" line on stderr)
 """
 
 
@@ -130,8 +136,8 @@ def _cmd_compare(values: dict, out_dir: str) -> int:
 def _cmd_fiber_scan(values: dict, out_dir: str) -> int:
     config = build_solve_config(values)
     lo, hi, count = values["fiber.sigma_min"], values["fiber.sigma_max"], values["fiber.count"]
-    if not (0 < lo < hi) or count < 2:
-        raise ConfigError("fiber.*: need 0 < fiber.sigma_min < fiber.sigma_max and fiber.count >= 2")
+    if not (0 < lo < hi < np.inf) or count < 2:
+        raise ConfigError("fiber.*: need 0 < sigma_min < sigma_max < inf and count >= 2")
     sigmas = np.geomspace(lo, hi, count)
     seed_field = config.init.build(config.grid())
     scan = fiber_map(seed_field, config.nonlinearity(), config.alpha, sigmas)
@@ -147,11 +153,7 @@ def _cmd_fiber_scan(values: dict, out_dir: str) -> int:
 
 
 def _cmd_validate_ops(values: dict, out_dir: str) -> int:
-    alpha = values["alpha"]
-    try:
-        validate_order(alpha)
-    except ValueError as exc:
-        raise ConfigError(f"alpha: {exc}") from exc
+    alpha = validate_order(values["alpha"])
     grid = make_grid(values["L"], values["N"])
     rows = conformance_checks(grid, alpha, seed=values["seed"])
     with open(os.path.join(out_dir, "ops_residuals.csv"), "w", encoding="utf-8") as fh:
@@ -221,12 +223,13 @@ def run(argv: list[str]) -> int:
         os.makedirs(out_dir, exist_ok=True)
         _write_manifest(out_dir, args.subcommand, values)
         return _COMMANDS[args.subcommand](values, out_dir)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FracgroundError as exc:
+        # first: some package errors are also ValueErrors
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

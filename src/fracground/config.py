@@ -54,7 +54,6 @@ DEFAULTS: dict[str, tuple[Any, Any]] = {
     "init.width": (InitSpec.width, float),
     "init.amplitude": (InitSpec.amplitude, float),
     "init.path": (InitSpec.path, str),
-    "tau": (SolveConfig.step, float),
     "max_iters": (SolveConfig.max_iters, int),
     "residual_tol": (SolveConfig.residual_tol, float),
     "window_radius": (SolveConfig.window_radius, float),
@@ -102,35 +101,21 @@ def load_config(path: str | None, overrides: list[str]) -> dict[str, Any]:
 
 
 def build_spec(values: dict[str, Any]) -> NonlinearitySpec:
-    try:
-        perturbation = Perturbation(
-            kind=values["a.kind"],
-            amplitude=values["a.amplitude"],
-            width=values["a.width"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"a.*: {exc}") from exc
-    try:
-        return NonlinearitySpec(
-            p=values["p"], theta=values["theta"], p0=values["p0"], perturbation=perturbation
-        )
-    except ValueError as exc:
-        raise ConfigError(f"p/theta/p0: {exc}") from exc
+    perturbation = Perturbation(
+        kind=values["a.kind"], amplitude=values["a.amplitude"], width=values["a.width"]
+    )
+    return NonlinearitySpec(
+        p=values["p"], theta=values["theta"], p0=values["p0"], perturbation=perturbation
+    )
 
 
 def build_sample_box(values: dict[str, Any]) -> SampleBox:
-    try:
-        return SampleBox(
-            t_max=values["hyp.t_max"],
-            xi_max=values["hyp.xi_max"],
-            n_samples=values["hyp.n_samples"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"hyp.*: {exc}") from exc
+    return SampleBox(
+        t_max=values["hyp.t_max"], xi_max=values["hyp.xi_max"], n_samples=values["hyp.n_samples"]
+    )
 
 
 def build_solve_config(values: dict[str, Any]) -> SolveConfig:
-    spec = build_spec(values)
     init = InitSpec(
         kind=values["init.kind"],
         center=values["init.center"],
@@ -138,18 +123,14 @@ def build_solve_config(values: dict[str, Any]) -> SolveConfig:
         amplitude=values["init.amplitude"],
         path=values["init.path"],
     )
-    try:
-        return SolveConfig(
-            half_width=values["L"],
-            n_points=values["N"],
-            alpha=values["alpha"],
-            spec=spec,
-            autonomous=values["autonomous"],
-            init=init,
-            step=values["tau"],
-            max_iters=values["max_iters"],
-            residual_tol=values["residual_tol"],
-            window_radius=values["window_radius"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"alpha/grid/solver: {exc}") from exc
+    return SolveConfig(
+        half_width=values["L"],
+        n_points=values["N"],
+        alpha=values["alpha"],
+        spec=build_spec(values),
+        autonomous=values["autonomous"],
+        init=init,
+        max_iters=values["max_iters"],
+        residual_tol=values["residual_tol"],
+        window_radius=values["window_radius"],
+    )

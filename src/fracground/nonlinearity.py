@@ -59,10 +59,10 @@ class Perturbation:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "rational", "zero"):
             raise ValueError(f"perturbation kind must be gaussian|rational|zero, got {self.kind!r}")
-        if self.amplitude < 0:
-            raise ValueError(f"perturbation amplitude must be >= 0, got {self.amplitude}")
-        if self.width <= 0:
-            raise ValueError(f"perturbation width must be > 0, got {self.width}")
+        if not 0 <= self.amplitude < np.inf:
+            raise ValueError(f"perturbation amplitude must be in [0, inf), got {self.amplitude}")
+        if not 0 < self.width < np.inf:
+            raise ValueError(f"perturbation width must be in (0, inf), got {self.width}")
 
     def weight(self, t: ArrayLike) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -78,9 +78,9 @@ class NonlinearitySpec:
     """Power nonlinearity (1 + a(t)) * xi_+^p with exponents theta and p0.
 
     theta is the superquadratic-growth exponent and p0 the growth ceiling.
-    The constructor enforces only basic ranges (p > 1, theta > 2, p0 > 1);
-    the relations theta <= p + 1, p0 > p and p0 + 1 > theta are hypothesis
-    checks, reported by :func:`validate_hypotheses`.
+    The constructor enforces only basic ranges (finite p > 1, theta > 2,
+    p0 > 1); the relations theta <= p + 1, p0 > p and p0 + 1 > theta are
+    hypothesis checks, reported by :func:`validate_hypotheses`.
     """
 
     p: float = 3.0
@@ -89,12 +89,12 @@ class NonlinearitySpec:
     perturbation: Perturbation = field(default_factory=Perturbation)
 
     def __post_init__(self) -> None:
-        if self.p <= 1:
-            raise ValueError(f"p must be > 1, got {self.p}")
-        if self.theta <= 2:
-            raise ValueError(f"theta must be > 2, got {self.theta}")
-        if self.p0 <= 1:
-            raise ValueError(f"p0 must be > 1, got {self.p0}")
+        if not 1 < self.p < np.inf:
+            raise ValueError(f"p must be in (1, inf), got {self.p}")
+        if not 2 < self.theta < np.inf:
+            raise ValueError(f"theta must be in (2, inf), got {self.theta}")
+        if not 1 < self.p0 < np.inf:
+            raise ValueError(f"p0 must be in (1, inf), got {self.p0}")
 
     def autonomous(self) -> "NonlinearitySpec":
         """The same exponents with the perturbation switched off (a = 0)."""

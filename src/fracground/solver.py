@@ -2,13 +2,13 @@
 
 The solver runs preconditioned descent with reprojection onto the
 stationarity manifold after every step, so iterates never collapse to zero.
-The default step is the full one, which makes the descent the Petviashvili
-iteration; a step is accepted only if it strictly lowers the energy, so
-accepted energies strictly decrease and a bad full step is halved.  When the
-perturbation a(t) is not identically zero, the initial field is first moved
-to its translate of least projected energy: the perturbed level lies strictly
-below the autonomous one, and translation is the one direction along which
-descent from an off-centre start would crawl.  A sliding-window mass
+Every step is first tried at full length, which makes the descent the
+Petviashvili iteration; a step is accepted only if it strictly lowers the
+energy, so accepted energies strictly decrease and a bad full step is
+halved.  When the perturbation a(t) is not identically zero, the initial
+field is first moved to its translate of least projected energy: the
+perturbed level lies strictly below the autonomous one, and translation is
+the one direction along which descent from an off-centre start would crawl.  A sliding-window mass
 diagnostic locates where a field concentrates; in the translation-invariant
 (autonomous) case the start is recentred once, before descent, when it
 concentrates too far out, mirroring the translation normalization that
@@ -89,16 +89,13 @@ class SolveConfig:
     spec: NonlinearitySpec = field(default_factory=NonlinearitySpec)
     autonomous: bool = False
     init: InitSpec = field(default_factory=InitSpec)
-    step: float = 1.0
     max_iters: int = 2000
     residual_tol: float = 1e-7
     window_radius: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.step <= 1.0:
-            raise ValueError(f"step must lie in (0, 1], got {self.step}")
-        if self.residual_tol < 1e-12:
-            raise ValueError(f"residual_tol must be >= 1e-12, got {self.residual_tol}")
+        if not 1e-12 <= self.residual_tol < np.inf:
+            raise ValueError(f"residual_tol must be in [1e-12, inf), got {self.residual_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         validate_order(self.alpha, within="variational")
@@ -122,14 +119,14 @@ class VanishingProfile:
 def vanishing_diagnostic(u: SpectralField, r: float) -> VanishingProfile:
     """Sliding-window mass integral of u^2 over [y - r, y + r] for every grid center.
 
-    The window radius must be at least one cell.  The argmax locates the
-    concentration point; a max mass bounded away from zero is the numerical
-    negation of the vanishing alternative for bounded sequences.
+    The window radius must be finite and at least one cell.  The argmax
+    locates the concentration point; a max mass bounded away from zero is the
+    numerical negation of the vanishing alternative for bounded sequences.
     """
     grid = u.grid
     r = float(r)
-    if r < grid.spacing:
-        raise ValueError(f"window radius must be >= h = {grid.spacing}, got {r}")
+    if not grid.spacing <= r < np.inf:
+        raise ValueError(f"window radius must be in [h, inf), h = {grid.spacing}, got {r}")
     half_cells = int(round(r / grid.spacing))
     kernel = np.ones(2 * half_cells + 1)
     wrapped = np.pad(u.values ** 2, half_cells, mode="wrap")
@@ -154,23 +151,23 @@ class SolveReport:
 
 
 def solve_ground_state(config: SolveConfig) -> SolveReport:
-    """Preconditioned descent with reprojection: u <- project(u - tau * grad).
+    """Preconditioned descent with reprojection: u <- project(u - s * grad).
 
     With K = 1 + |w|^(2 alpha) the preconditioned gradient is u - K^-1 f(u),
-    so the default full step tau = 1 tries K^-1 f(u), scaled onto the
-    manifold by the projection: the Petviashvili iteration.  When a(t) is
-    not identically zero, the initial field is first moved to the translate
-    of least projected energy (``variational._best_translate``), so the
-    descent does not crawl along the near-neutral translation mode; with
-    a = 0 every translate has the same energy and the field is left as it is.
+    so the full step s = 1 tries K^-1 f(u), scaled onto the manifold by the
+    projection: the Petviashvili iteration.  When a(t) is not identically
+    zero, the initial field is first moved to the translate of least
+    projected energy (``variational._best_translate``), so the descent does
+    not crawl along the near-neutral translation mode; with a = 0 every
+    translate has the same energy and the field is left as it is.
 
-    Stops when the preconditioned residual norm drops below the configured
-    tolerance or the iteration budget runs out.  The step is halved whenever
-    a trial projection fails to lower the energy strictly and restored after
-    every accepted step; underflow of the step below 1e-8 raises DivergedError,
+    Stops when the preconditioned residual norm drops below residual_tol or
+    the iteration budget runs out.  The step is halved whenever a trial
+    projection fails to lower the energy strictly and reset to 1 after every
+    accepted step; underflow of the step below 1e-8 raises DivergedError,
     which carries the report up to the last accepted iterate.
     A trial whose energy merely equals the current one (a null step, as when
-    tau * gradient is below the rounding of u) is not progress, so a
+    s * gradient is below the rounding of u) is not progress, so a
     residual_tol below the energy-resolution floor (about 2e-8 at L = 32,
     N = 1024) ends in DivergedError rather than in spent max_iters.
     Recentring (autonomous runs only) shifts the start by whole cells when it
@@ -196,7 +193,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     sigma_history = [proj.sigma]
     residual_history: list[float] = []
     energy_history = [current_energy]
-    tau = config.step
+    step = 1.0
     iterations = 0
 
     def report(converged: bool) -> SolveReport:
@@ -221,7 +218,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
         if grad.residual_norm <= config.residual_tol:
             return report(True)
         while True:
-            trial = u - tau * grad.precond_gradient
+            trial = u - step * grad.precond_gradient
             try:
                 proj = nehari_project(trial, spec, alpha)
             except NoPositivePartError:
@@ -231,10 +228,10 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
                 current_energy = proj.energy
                 nehari_residual = proj.constraint_residual
                 sigma_history.append(proj.sigma)
-                tau = config.step
+                step = 1.0
                 break
-            tau *= 0.5
-            if tau < _STEP_UNDERFLOW:
+            step *= 0.5
+            if step < _STEP_UNDERFLOW:
                 raise DivergedError(
                     f"descent step underflowed below {_STEP_UNDERFLOW:.0e} without a "
                     f"strict energy decrease: energy-resolution floor at residual "

@@ -153,16 +153,13 @@ class FiberScan:
     derivative_sign_changes: int
 
 
-def _potential_on_ray(u: SpectralField, spec: NonlinearitySpec, sigma: float) -> float:
-    return float(u.grid.spacing * np.sum(eval_F(spec, u.grid, sigma * u.values)))
-
-
 def fiber_map(u: SpectralField, spec: NonlinearitySpec, alpha: float, sigma_grid) -> FiberScan:
     """Sample psi(sigma) = E(sigma u) along a ray, counting slope sign changes.
 
-    The quadratic coefficient is computed once; only the potential is
-    re-integrated per sigma.  The sign-change count of the discrete slope is
-    the sampled version of fiber unimodality (one + to - change for fields
+    F(t, .) is homogeneous of degree p + 1, so psi has the closed form
+    sigma^2 ||u||_alpha^2 / 2 - sigma^(p+1) integral F(t, u): one norm and one
+    potential serve every sigma.  The sign-change count of the discrete slope
+    is the sampled version of fiber unimodality (one + to - change for fields
     with nonzero positive part).
     """
     alpha = validate_order(alpha, within="variational")
@@ -172,7 +169,8 @@ def fiber_map(u: SpectralField, spec: NonlinearitySpec, alpha: float, sigma_grid
     if not np.any(u.values != 0):
         raise ValueError("fiber map requires a nonzero field")
     norm_sq = h_alpha_norm_sq(u, alpha)
-    values = np.array([0.5 * s * s * norm_sq - _potential_on_ray(u, spec, s) for s in sigmas])
+    potential = u.grid.spacing * float(np.sum(eval_F(spec, u.grid, u.values)))
+    values = 0.5 * sigmas * sigmas * norm_sq - sigmas ** (spec.p + 1.0) * potential
     slopes = np.diff(values)
     signs = np.sign(slopes[slopes != 0.0])
     changes = int(np.count_nonzero(np.diff(signs) != 0))

@@ -56,8 +56,9 @@ class TestSolveCommand:
         assert "(1/2, 1)" in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        # recentre is no key: recentring is a fixed step before descent
-        for item in ("alpa=0.7", "recentre=true"):
+        # recentre is no key: recentring is a fixed step before descent;
+        # tau is no key: every descent step starts at the full Petviashvili step
+        for item in ("alpa=0.7", "recentre=true", "tau=1"):
             code = run(["solve", "--output-dir", str(tmp_path / "x"), "--set", item])
             assert code == 2
             assert item.split("=")[0] in capsys.readouterr().err
@@ -121,6 +122,73 @@ class TestSolveCommand:
             assert run(["solve", "--output-dir", str(out), *FAST]) == 0
         for name in ("manifest.json", "report.json", "field.csv", "residuals.csv"):
             assert read(out1 / name) == read(out2 / name), name
+
+
+BAD_CSV = "t,u\n-1.0,0.5\n0.0,oops\n"
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+class TestInvalidInput:
+    """Every invalid input exits 2 with one ``error:`` line, whichever layer rejects it."""
+
+    @pytest.mark.parametrize(
+        "cmd, items",
+        [
+            ("solve", ["N=15"]),
+            ("solve", ["L=-1"]),
+            ("solve", ["init.kind=bogus"]),
+            ("solve", ["init.width=0"]),
+            ("solve", ["window_radius=0.001"]),
+            ("solve", ["init.kind=custom", "init.path={csv}"]),
+            ("validate-ops", ["N=15"]),
+        ],
+    )
+    def test_rejected_in_the_library_exits_2(self, tmp_path, capsys, cmd, items):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(BAD_CSV)
+        sets = [arg for item in items for arg in ("--set", item.format(csv=csv))]
+        assert run([cmd, "--output-dir", str(tmp_path / "x"), *sets]) == 2
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "cmd, item",
+        [
+            ("solve", "residual_tol=nan"),
+            ("solve", "p=nan"),
+            ("solve", "a.width=nan"),
+            ("solve", "a.amplitude=inf"),
+            ("validate-hypotheses", "theta=nan"),
+        ],
+    )
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, cmd, item):
+        assert run([cmd, "--output-dir", str(tmp_path / "x"), "--set", item]) == 2
+        assert item.split("=")[1] in assert_one_error_line(capsys)
+
+    def test_package_error_still_exits_1(self, tmp_path, capsys):
+        code = run(["solve", "--output-dir", str(tmp_path / "x"), "--set", "init.amplitude=-1"])
+        assert code == 1
+        assert "NoPositivePartError" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [("alpha = 0.8\nN 1024\n", 2), ("autonomous = maybe\n", 1)],
+    )
+    def test_config_file_parse_error_names_the_line(self, tmp_path, capsys, text, lineno):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code = run(["solve", "--config", str(cfg), "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{cfg}:{lineno}:" in assert_one_error_line(capsys)
+
+    def test_set_without_equals_exits_2(self, tmp_path, capsys):
+        assert run(["solve", "--output-dir", str(tmp_path / "x"), "--set", "L"]) == 2
+        assert "key=value" in assert_one_error_line(capsys)
 
 
 class TestOtherCommands:

@@ -81,6 +81,18 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="kind"):
             Perturbation(kind="sinusoidal")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["p", "theta", "p0"])
+    def test_spec_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            NonlinearitySpec(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["amplitude", "width"])
+    def test_perturbation_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            Perturbation(**{name: bad})
+
 
 TINY = np.finfo(float).tiny
 

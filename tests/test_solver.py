@@ -81,6 +81,11 @@ class TestVanishingDiagnostic:
         with pytest.raises(ValueError, match="window radius"):
             vanishing_diagnostic(u, default_grid.spacing / 3)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_non_finite_window_rejected(self, default_grid, radius):
+        with pytest.raises(ValueError, match="window radius"):
+            vanishing_diagnostic(gaussian_field(default_grid), radius)
+
 
 class TestSolveGroundState:
     def test_classical_soliton(self):
@@ -204,10 +209,11 @@ class TestSolveGroundState:
             solve_ground_state(config)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="step"):
-            SolveConfig(step=0.0)
         with pytest.raises(ValueError, match="residual_tol"):
             SolveConfig(residual_tol=1e-13)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="residual_tol"):
+                SolveConfig(residual_tol=bad)
         with pytest.raises(ValueError, match="alpha"):
             SolveConfig(alpha=0.4)
         with pytest.raises(ValueError, match="alpha"):

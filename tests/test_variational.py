@@ -149,6 +149,15 @@ class TestFiberMap:
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(scan.values - expected)) < 1e-10 * scale
 
+    def test_matches_energy_on_the_ray(self, default_grid, rng):
+        # the closed form in sigma is E(sigma u) of the perturbed functional
+        u = positive_random_field(default_grid, rng)
+        sigmas = [0.1, 0.7, 1.0, 2.5, 9.0]
+        scan = fiber_map(u, SPEC, 0.75, sigmas)
+        for s, value in zip(sigmas, scan.values):
+            expected = energy(s * u, SPEC, 0.75).total
+            assert abs(value - expected) <= 1e-13 * max(1.0, abs(expected))
+
     def test_positive_then_negative(self, default_grid, rng):
         u = positive_random_field(default_grid, rng)
         result = nehari_project(u, SPEC, 0.75)
