@@ -37,7 +37,6 @@ from .nonlinearity import (
     HypothesisReport,
     NonlinearitySpec,
     Perturbation,
-    SampleBox,
     eval_F,
     eval_df,
     eval_f,
@@ -115,7 +114,6 @@ __all__ = [
     # nonlinearity
     "Perturbation",
     "NonlinearitySpec",
-    "SampleBox",
     "HypothesisCheck",
     "HypothesisReport",
     "eval_f",

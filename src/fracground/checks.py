@@ -38,22 +38,15 @@ class CheckRow:
 
 
 def random_band_limited_field(
-    grid: Grid1D,
-    rng: np.random.Generator,
-    max_mode: int | None = None,
-    *,
-    zero_mean: bool = False,
+    grid: Grid1D, rng: np.random.Generator, *, zero_mean: bool = False
 ) -> SpectralField:
-    """Random real field supported on modes |k| <= max_mode (default N/8).
+    """Random real field supported on modes |k| <= N/8, normalized in L2.
 
     ``irfft`` drops the imaginary part of the zero mode.
     """
     n = grid.n_points
-    if max_mode is None:
-        max_mode = n // 8
-    max_mode = min(max_mode, n // 2 - 1)
     coeffs = np.zeros(n // 2 + 1, dtype=np.complex128)
-    for k in range(1 if zero_mean else 0, max_mode + 1):
+    for k in range(1 if zero_mean else 0, n // 8 + 1):
         coeffs[k] = rng.normal() + 1j * rng.normal()
     values = np.fft.irfft(coeffs, n)
     values /= np.sqrt(grid.spacing * np.sum(values ** 2))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .nonlinearity import NonlinearitySpec, Perturbation, SampleBox
+from .nonlinearity import NonlinearitySpec, Perturbation
 from .solver import InitSpec, SolveConfig
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "parse_config_text",
     "load_config",
     "build_spec",
-    "build_sample_box",
     "build_solve_config",
 ]
 
@@ -56,14 +55,6 @@ DEFAULTS: dict[str, tuple[Any, Any]] = {
     "init.path": (InitSpec.path, str),
     "max_iters": (SolveConfig.max_iters, int),
     "residual_tol": (SolveConfig.residual_tol, float),
-    "window_radius": (SolveConfig.window_radius, float),
-    "seed": (0, int),
-    "fiber.sigma_min": (0.01, float),
-    "fiber.sigma_max": (10.0, float),
-    "fiber.count": (200, int),
-    "hyp.t_max": (SampleBox.t_max, float),
-    "hyp.xi_max": (SampleBox.xi_max, float),
-    "hyp.n_samples": (SampleBox.n_samples, int),
 }
 
 
@@ -109,12 +100,6 @@ def build_spec(values: dict[str, Any]) -> NonlinearitySpec:
     )
 
 
-def build_sample_box(values: dict[str, Any]) -> SampleBox:
-    return SampleBox(
-        t_max=values["hyp.t_max"], xi_max=values["hyp.xi_max"], n_samples=values["hyp.n_samples"]
-    )
-
-
 def build_solve_config(values: dict[str, Any]) -> SolveConfig:
     init = InitSpec(
         kind=values["init.kind"],
@@ -132,5 +117,4 @@ def build_solve_config(values: dict[str, Any]) -> SolveConfig:
         init=init,
         max_iters=values["max_iters"],
         residual_tol=values["residual_tol"],
-        window_radius=values["window_radius"],
     )

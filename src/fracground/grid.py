@@ -224,7 +224,9 @@ def inner(u: SpectralField, v: SpectralField) -> float:
 def gaussian_field(
     grid: Grid1D, center: float = 0.0, width: float = 2.0, amplitude: float = 1.0
 ) -> SpectralField:
-    """Gaussian bump amplitude * exp(-(t - center)^2 / (2 width^2))."""
+    """Gaussian bump amplitude * exp(-(t - center)^2 / (2 width^2)), centred in [-L, L]."""
+    if not -grid.half_width <= center <= grid.half_width:
+        raise ValueError(f"center must be in [-L, L], L = {grid.half_width}, got {center}")
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     values = amplitude * np.exp(-((grid.nodes - center) ** 2) / (2.0 * width ** 2))
@@ -270,13 +272,16 @@ def field_from_csv(path: str) -> SpectralField:
         header = fh.readline()
         if header.strip() != "t,u":
             raise ValueError(f"unexpected CSV header {header.strip()!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            a, b = line.split(",")
-            t_vals.append(float(a))
-            u_vals.append(float(b))
+            try:
+                a, b = line.split(",")
+                t_vals.append(float(a))
+                u_vals.append(float(b))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad row {line!r}: {exc}") from exc
     n = len(t_vals)
     if n < 2:
         raise ValueError("field CSV must contain at least two rows")

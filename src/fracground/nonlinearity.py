@@ -35,7 +35,6 @@ from .grid import Grid1D, make_grid
 __all__ = [
     "Perturbation",
     "NonlinearitySpec",
-    "SampleBox",
     "HypothesisCheck",
     "HypothesisReport",
     "eval_f",
@@ -50,15 +49,15 @@ ArrayLike = Union[float, np.ndarray]
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Nonnegative weight a(t) with a(t) -> 0 as |t| -> infinity."""
+    """Nonnegative weight a(t) with a(t) -> 0 as |t| -> infinity; amplitude 0 is a = 0."""
 
     kind: str = "gaussian"
     amplitude: float = 0.5
     width: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gaussian", "rational", "zero"):
-            raise ValueError(f"perturbation kind must be gaussian|rational|zero, got {self.kind!r}")
+        if self.kind not in ("gaussian", "rational"):
+            raise ValueError(f"perturbation kind must be gaussian|rational, got {self.kind!r}")
         if not 0 <= self.amplitude < np.inf:
             raise ValueError(f"perturbation amplitude must be in [0, inf), got {self.amplitude}")
         if not 0 < self.width < np.inf:
@@ -66,7 +65,7 @@ class Perturbation:
 
     def weight(self, t: ArrayLike) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if self.kind == "zero" or self.amplitude == 0.0:
+        if self.amplitude == 0.0:
             return np.zeros_like(t)
         if self.kind == "gaussian":
             return self.amplitude * np.exp(-(t / self.width) ** 2)
@@ -98,7 +97,7 @@ class NonlinearitySpec:
 
     def autonomous(self) -> "NonlinearitySpec":
         """The same exponents with the perturbation switched off (a = 0)."""
-        return NonlinearitySpec(self.p, self.theta, self.p0, Perturbation("zero", 0.0, 1.0))
+        return NonlinearitySpec(self.p, self.theta, self.p0, Perturbation(amplitude=0.0))
 
 
 #: the smallest positive normal float; powers below it are flushed to 0
@@ -160,23 +159,6 @@ def growth_constant(spec: NonlinearitySpec, epsilon: float, t: np.ndarray, xi: n
 
 
 @dataclass(frozen=True)
-class SampleBox:
-    """Sampling region for the hypothesis validator."""
-
-    t_max: float = 8.0
-    xi_max: float = 1e4
-    n_samples: int = 48
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.t_max) and np.isfinite(self.xi_max)):
-            raise ValueError("sample box must be finite")
-        if self.t_max <= 0 or self.xi_max <= 1:
-            raise ValueError("sample box requires t_max > 0 and xi_max > 1")
-        if self.n_samples < 8:
-            raise ValueError("sample box needs at least 8 samples per axis")
-
-
-@dataclass(frozen=True)
 class HypothesisCheck:
     name: str
     passed: bool
@@ -214,21 +196,24 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(coeffs[0])
 
 
-def validate_hypotheses(spec: NonlinearitySpec, box: SampleBox | None = None) -> HypothesisReport:
+#: the fixed sampling box of ``validate_hypotheses``: t_max, xi_max, samples per axis
+_T_MAX, _XI_MAX, _N_SAMPLES = 8.0, 1e4, 48
+
+
+def validate_hypotheses(spec: NonlinearitySpec) -> HypothesisReport:
     """Sampled pass/fail report for the six structural hypotheses.
 
-    All checks are finite surrogates of universally quantified statements:
-    sign and growth inequalities are tested on a sample grid with worst-case
-    margins and witnesses, the two limits (smallness near 0, growth ceiling
-    at infinity) as log-log decay slopes over the sampled decades, and the
-    comparison condition by the sampled measure of {f > fbar}.  Failures are
-    reported, not raised.
+    All checks are finite surrogates of universally quantified statements,
+    sampled on a fixed box: 48 nodes t in [-8, 8] and 48 magnitudes |xi| from
+    1e-6 to 1e4 on each side of 0.  Sign and growth inequalities are tested
+    on the sample grid with worst-case margins and witnesses, the two limits
+    (smallness near 0, growth ceiling at infinity) as log-log decay slopes
+    over the sampled decades, and the comparison condition by the sampled
+    measure of {f > fbar}.  Failures are reported, not raised.
     """
-    if box is None:
-        box = SampleBox()
-    n = box.n_samples
-    t = np.linspace(-box.t_max, box.t_max, n)
-    xi_pos = np.geomspace(1e-6, box.xi_max, n)
+    n = _N_SAMPLES
+    t = np.linspace(-_T_MAX, _T_MAX, n)
+    xi_pos = np.geomspace(1e-6, _XI_MAX, n)
     xi = np.concatenate([-xi_pos[::-1], [0.0], xi_pos])
     tt, xx = np.meshgrid(t, xi, indexing="ij")
     f_vals = eval_f(spec, tt, xx)
@@ -283,7 +268,7 @@ def validate_hypotheses(spec: NonlinearitySpec, box: SampleBox | None = None) ->
     )
 
     # growth ceiling: max_t f / |xi|^p0 decays as xi -> infinity
-    large = xi_pos[xi_pos >= box.xi_max ** 0.5]
+    large = xi_pos[xi_pos >= _XI_MAX ** 0.5]
     ratio_inf = np.array(
         [np.max(eval_f(spec, t, np.full_like(t, s)) / s ** spec.p0) for s in large]
     )
@@ -333,7 +318,7 @@ def validate_hypotheses(spec: NonlinearitySpec, box: SampleBox | None = None) ->
     m_lo = float(np.min(diff))
     m_hi = float(np.min(envelope - diff) / max(1.0, float(np.max(envelope))))
     strict_cols = np.any(diff > 0, axis=1)
-    measure = float(np.count_nonzero(strict_cols)) / len(t) * (2.0 * box.t_max)
+    measure = float(np.count_nonzero(strict_cols)) / len(t) * (2.0 * _T_MAX)
     ok_f5 = m_lo >= -_EXACT_TOL and m_hi >= -_EXACT_TOL and measure > 0.0
     idx = np.unravel_index(int(np.argmin(diff)), diff.shape)
     checks.append(

@@ -330,16 +330,15 @@ def h_alpha_norm(u: SpectralField, alpha: float) -> HAlphaNorm:
     """Seminorm and norm of order alpha, plus the time-domain seminorm.
 
     The seminorm is || |w|^alpha u_hat || with the Plancherel constant folded
-    in; the time-domain variant is the L2 norm of the left fractional
-    derivative, applied as its multiplier without a tail check.  The two
-    agree to near machine precision on resolved fields, which is the numerical
-    form of the norm-equivalence statement.
+    in, summed on its own: the norm minus the L2 part would cancel.  The norm
+    is the square root of :func:`h_alpha_norm_sq`.  The time-domain variant is
+    the L2 norm of the left fractional derivative, applied as its multiplier
+    without a tail check.  The two seminorms agree to near machine precision
+    on resolved fields, which is the numerical form of the norm-equivalence
+    statement.
     """
     grid = u.grid
     w_pow, _, _ = _even_symbols(grid, alpha)
-    power = _mode_power(u.spectrum)
-    scale = grid.frequency_step / (2.0 * np.pi)
-    semi_sq = float(scale * np.sum(w_pow * power))
-    l2_sq = float(scale * np.sum(power))
+    semi_sq = grid.frequency_step / (2.0 * np.pi) * float(np.sum(w_pow * _mode_power(u.spectrum)))
     time_semi = lp_norm(apply_multiplier(u, multiplier_symbol(grid, alpha, "left_deriv")), 2)
-    return HAlphaNorm(math.sqrt(semi_sq), math.sqrt(semi_sq + l2_sq), time_semi)
+    return HAlphaNorm(math.sqrt(semi_sq), math.sqrt(h_alpha_norm_sq(u, alpha)), time_semi)

@@ -48,6 +48,10 @@ __all__ = [
     "compare_levels",
 ]
 
+#: radius of the mass window that recentres an autonomous start, once, before
+#: descent, and that the report reads
+WINDOW_RADIUS = 1.0
+
 #: descent step size below which the line search gives up
 _STEP_UNDERFLOW = 1e-8
 
@@ -80,8 +84,7 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Settings of one solve; ``window_radius`` is the radius of the mass window
-    that recentres an autonomous start, once, before descent, and that the report reads."""
+    """Settings of one solve."""
 
     half_width: float = 64.0
     n_points: int = 4096
@@ -91,7 +94,6 @@ class SolveConfig:
     init: InitSpec = field(default_factory=InitSpec)
     max_iters: int = 2000
     residual_tol: float = 1e-7
-    window_radius: float = 1.0
 
     def __post_init__(self) -> None:
         if not 1e-12 <= self.residual_tol < np.inf:
@@ -174,6 +176,10 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     concentrates beyond L/4; the iteration commutes with such shifts.
     """
     grid = config.grid()
+    if grid.spacing > WINDOW_RADIUS:
+        raise ValueError(
+            f"grid spacing 2L/N = {grid.spacing} exceeds the window radius {WINDOW_RADIUS}"
+        )
     spec, alpha = config.nonlinearity(), config.alpha
     u0 = config.init.build(grid)
     if float(np.max(u0.values)) <= 0.0:
@@ -181,7 +187,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     u0, _ = _best_translate(u0, spec)
     cells = 0
     if config.autonomous:
-        centre = vanishing_diagnostic(u0, config.window_radius).argmax_y
+        centre = vanishing_diagnostic(u0, WINDOW_RADIUS).argmax_y
         if abs(centre) > grid.half_width / 4.0:
             cells = int(round(centre / grid.spacing))
             u0 = shift_cells(u0, -cells)
@@ -197,7 +203,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     iterations = 0
 
     def report(converged: bool) -> SolveReport:
-        diag = vanishing_diagnostic(u, config.window_radius)
+        diag = vanishing_diagnostic(u, WINDOW_RADIUS)
         return SolveReport(
             field=u,
             level=current_energy,
@@ -261,14 +267,11 @@ class MountainPassReport:
 
 
 def mountain_pass_path(
-    config: SolveConfig,
-    endpoint_scale: float = 1.0,
-    n_nodes: int = 33,
-    n_deform: int = 200,
+    config: SolveConfig, n_nodes: int = 33, n_deform: int = 200
 ) -> MountainPassReport:
     """Deform a segment path from 0 to a negative-energy endpoint downhill.
 
-    The endpoint scale is doubled until the endpoint energy is negative
+    The endpoint scale starts at 1 and is doubled until the endpoint energy is negative
     (EndpointNotNegativeError past 1e6).  Each sweep relaxes the interior
     nodes by preconditioned descent with displacement capped by the distance
     to the neighbouring nodes, skips nodes already below zero energy (they
@@ -305,7 +308,7 @@ def mountain_pass_path(
         diff = b.spectrum - a.spectrum
         return float(np.sqrt(_pairing(a.grid, diff, diff, alpha)))
 
-    scale = float(endpoint_scale)
+    scale = 1.0
     while node_energy(scale * u_init) >= 0.0:
         scale *= 2.0
         if scale > 1e6:

@@ -8,7 +8,7 @@ import pytest
 from fracground.cli import run
 from fracground.config import DEFAULTS
 from fracground.grid import field_from_csv
-from fracground.solver import vanishing_diagnostic
+from fracground.solver import WINDOW_RADIUS, vanishing_diagnostic
 
 FAST = [
     "--set", "N=1024",
@@ -37,15 +37,12 @@ class TestSolveCommand:
         assert report["converged"] is True
 
     def test_report_mass_matches_field_csv(self, tmp_path):
-        # the report keeps no per-node profile: field.csv and the manifest restore it
+        # the report keeps no per-node profile: field.csv and the solver's window restore it
         out = tmp_path / "run"
         assert run(["solve", "--output-dir", str(out), *FAST]) == 0
         report = json.loads((out / "report.json").read_text())
-        manifest = json.loads((out / "manifest.json").read_text())
         assert "vanishing_profile" not in report
-        diag = vanishing_diagnostic(
-            field_from_csv(str(out / "field.csv")), manifest["config"]["window_radius"]
-        )
+        diag = vanishing_diagnostic(field_from_csv(str(out / "field.csv")), WINDOW_RADIUS)
         assert report["max_mass"] == diag.max_mass
         assert report["argmax_y"] == diag.argmax_y
 
@@ -57,11 +54,17 @@ class TestSolveCommand:
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         # recentre is no key: recentring is a fixed step before descent;
-        # tau is no key: every descent step starts at the full Petviashvili step
-        for item in ("alpa=0.7", "recentre=true", "tau=1"):
+        # tau is no key: every descent step starts at the full Petviashvili step;
+        # the mass window, the operator-check seed, the fiber-scan range and
+        # the hypothesis sampling box are constants
+        for item in (
+            "alpa=0.7", "recentre=true", "tau=1", "window_radius=0.001", "seed=1",
+            "fiber.sigma_min=0.01", "fiber.sigma_max=10", "fiber.count=50",
+            "hyp.t_max=8", "hyp.xi_max=1e4", "hyp.n_samples=48",
+        ):
             code = run(["solve", "--output-dir", str(tmp_path / "x"), "--set", item])
             assert code == 2
-            assert item.split("=")[0] in capsys.readouterr().err
+            assert item.split("=")[0] in assert_one_error_line(capsys)
 
     def test_restart_from_field_csv(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
@@ -144,9 +147,11 @@ class TestInvalidInput:
             ("solve", ["L=-1"]),
             ("solve", ["init.kind=bogus"]),
             ("solve", ["init.width=0"]),
-            ("solve", ["window_radius=0.001"]),
+            ("solve", ["init.center=inf"]),
             ("solve", ["init.kind=custom", "init.path={csv}"]),
             ("validate-ops", ["N=15"]),
+            ("solve", ["init.center=1e308"]),
+            ("solve", ["a.kind=zero"]),
         ],
     )
     def test_rejected_in_the_library_exits_2(self, tmp_path, capsys, cmd, items):
@@ -154,7 +159,10 @@ class TestInvalidInput:
         csv.write_text(BAD_CSV)
         sets = [arg for item in items for arg in ("--set", item.format(csv=csv))]
         assert run([cmd, "--output-dir", str(tmp_path / "x"), *sets]) == 2
-        assert_one_error_line(capsys)
+        err = assert_one_error_line(capsys)
+        if "init.path={csv}" in items:
+            # the malformed row is named by file and line
+            assert f"{csv}:3:" in err
 
     @pytest.mark.parametrize(
         "cmd, item",
@@ -203,11 +211,11 @@ class TestOtherCommands:
 
     def test_fiber_scan(self, tmp_path):
         out = tmp_path / "fiber"
-        code = run(["fiber-scan", "--output-dir", str(out), *FAST, "--set", "fiber.count=50"])
+        code = run(["fiber-scan", "--output-dir", str(out), *FAST])
         assert code == 0
         lines = (out / "fiber.csv").read_text().strip().splitlines()
         assert lines[0] == "sigma,psi"
-        assert len(lines) == 51
+        assert len(lines) == 201
 
     def test_validate_ops_all_rows_pass(self, tmp_path):
         out = tmp_path / "ops"

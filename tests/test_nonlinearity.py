@@ -6,7 +6,6 @@ import fracground.nonlinearity as nl
 from fracground import (
     NonlinearitySpec,
     Perturbation,
-    SampleBox,
     energy,
     eval_F,
     eval_df,
@@ -199,9 +198,3 @@ class TestHypothesisValidation:
         expected = np.max((xi ** spec.p - 0.1 * xi).clip(min=0) / xi ** spec.p0)
         got = growth_constant(spec, 0.1, np.array([0.0]), xi)
         assert got == pytest.approx(expected, rel=1e-6)
-
-    def test_sample_box_validation(self):
-        with pytest.raises(ValueError, match="finite"):
-            SampleBox(t_max=np.inf)
-        with pytest.raises(ValueError, match="samples"):
-            SampleBox(n_samples=4)

@@ -219,6 +219,16 @@ class TestSolveGroundState:
         with pytest.raises(ValueError, match="alpha"):
             SolveConfig(alpha=1.2)
 
+    def test_coarse_grid_rejected_before_descent(self, monkeypatch):
+        # the mass window spans at least one cell: a grid coarser than its radius
+        # is refused before any projection, not when the report is made
+        def no_descent(*args, **kwargs):
+            pytest.fail("the solve started")
+
+        monkeypatch.setattr(solver_module, "nehari_project", no_descent)
+        with pytest.raises(ValueError, match="window radius"):
+            solve_ground_state(SolveConfig(half_width=64.0, n_points=64))
+
 
 class TestTranslationSearch:
     @pytest.mark.parametrize("center", [0.3, 0.7, 1.5])
@@ -339,7 +349,7 @@ class TestAutonomy:
         spec = NonlinearitySpec(p=2.5, theta=3.5, p0=3.0)
         assert SolveConfig(spec=spec).nonlinearity() is spec
         resolved = SolveConfig(spec=spec, autonomous=True).nonlinearity()
-        assert resolved.perturbation.kind == "zero"
+        assert resolved.perturbation.amplitude == 0.0
         assert (resolved.p, resolved.theta, resolved.p0) == (spec.p, spec.theta, spec.p0)
 
     def test_flag_equals_autonomous_spec(self):
