@@ -7,6 +7,15 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .solver import SolveReport
 
+__all__ = [
+    "FracgroundError",
+    "ZeroModeSingularError",
+    "NoPositivePartError",
+    "DivergedError",
+    "EndpointNotNegativeError",
+    "SpectralTailWarning",
+]
+
 
 class FracgroundError(Exception):
     """Base class for errors raised by this package."""
@@ -41,10 +50,6 @@ class DivergedError(FracgroundError, RuntimeError):
 
 class EndpointNotNegativeError(FracgroundError, RuntimeError):
     """Path endpoint could not be scaled to negative energy within bounds."""
-
-
-class SpectralTailError(FracgroundError, ValueError):
-    """Strict-mode rejection of a field with too much high-frequency mass."""
 
 
 class SpectralTailWarning(UserWarning):

@@ -203,7 +203,7 @@ def lp_norm(fld: SpectralField, p: float) -> float:
     if p == np.inf:
         return float(np.max(np.abs(fld.values)))
     p = float(p)
-    if p < 2:
+    if not 2 <= p < np.inf:
         raise ValueError(f"p must be >= 2 or inf, got {p}")
     h = fld.grid.spacing
     return float((h * np.sum(np.abs(fld.values) ** p)) ** (1.0 / p))

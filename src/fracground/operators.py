@@ -31,13 +31,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SpectralTailError, SpectralTailWarning, ZeroModeSingularError
+from .errors import SpectralTailWarning, ZeroModeSingularError
 from .grid import Grid1D, SpectralField, _mode_power, lp_norm, make_grid, values_from_spectrum
 
 __all__ = [
     "validate_order",
     "multiplier_symbol",
-    "apply_multiplier",
     "fractional_derivative",
     "fractional_integral",
     "composed_operator",
@@ -89,12 +88,14 @@ def validate_order(alpha: float, *, within: str = "derivative") -> float:
 
 def _even_symbols(grid: Grid1D, alpha: float) -> tuple[np.ndarray, ...]:
     """Read-only ``|w|^(2 alpha)``, ``1 + |w|^(2 alpha)`` and its inverse, cached."""
-    return _cached_even_symbols(grid.half_width, grid.n_points, validate_order(alpha))
+    return _cached_even_symbols(grid.half_width, grid.n_points, alpha)
 
 
-# keyed on the grid's numbers: Grid1D defines __eq__ and so is unhashable
+# keyed on the grid's numbers: Grid1D defines __eq__ and so is unhashable; alpha
+# is checked when a table is built, and lru_cache does not cache the error
 @functools.lru_cache(maxsize=8)
 def _cached_even_symbols(half_width: float, n_points: int, alpha: float) -> tuple[np.ndarray, ...]:
+    alpha = validate_order(alpha)
     w_pow = make_grid(half_width, n_points).frequencies ** (2.0 * alpha)
     symbols = (w_pow, w_pow + 1.0, 1.0 / (w_pow + 1.0))
     for sym in symbols:
@@ -143,16 +144,15 @@ def _tail_mass(u: SpectralField) -> float:
     return float(power[k0:].sum() / total)
 
 
-def _check_tail(u: SpectralField, strict: bool) -> None:
+def _check_tail(u: SpectralField) -> None:
     mass = _tail_mass(u)
     if mass >= TAIL_MASS_LIMIT:
-        msg = (
+        warnings.warn(
             f"relative spectral tail mass {mass:.3e} >= {TAIL_MASS_LIMIT:.0e}; "
-            "the multiplier result may be underresolved"
+            "the multiplier result may be underresolved",
+            SpectralTailWarning,
+            stacklevel=3,
         )
-        if strict:
-            raise SpectralTailError(msg)
-        warnings.warn(msg, SpectralTailWarning, stacklevel=3)
 
 
 def apply_multiplier(u: SpectralField, symbol: np.ndarray) -> SpectralField:
@@ -170,19 +170,17 @@ def apply_multiplier(u: SpectralField, symbol: np.ndarray) -> SpectralField:
     return SpectralField._join(u.grid, values, out_spectrum)
 
 
-def fractional_derivative(
-    u: SpectralField, alpha: float, side: str, *, strict: bool = False
-) -> SpectralField:
+def fractional_derivative(u: SpectralField, alpha: float, side: str) -> SpectralField:
     """One-sided fractional derivative of order alpha in (0, 1].
 
     ``side`` selects the lower-limit ("left") or upper-limit ("right")
     convolution; spectrally these are the (iw)^alpha and (-iw)^alpha
     multipliers.  Inputs with relative spectral tail mass above 1e-6 trigger
-    a warning, promoted to an error when ``strict`` is set.
+    a ``SpectralTailWarning``.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    _check_tail(u, strict)
+    _check_tail(u)
     kind = "left_deriv" if side == "left" else "right_deriv"
     return apply_multiplier(u, multiplier_symbol(u.grid, alpha, kind))
 
@@ -204,9 +202,9 @@ def fractional_integral(u: SpectralField, alpha: float, side: str) -> SpectralFi
     return apply_multiplier(u, multiplier_symbol(u.grid, alpha, kind))
 
 
-def composed_operator(u: SpectralField, alpha: float, *, strict: bool = False) -> SpectralField:
+def composed_operator(u: SpectralField, alpha: float) -> SpectralField:
     """Right-derivative of the left-derivative: the |w|^(2 alpha) multiplier."""
-    _check_tail(u, strict)
+    _check_tail(u)
     return apply_multiplier(u, multiplier_symbol(u.grid, alpha, "composed"))
 
 
@@ -310,14 +308,15 @@ def _pairing(grid: Grid1D, x: np.ndarray, y: np.ndarray, alpha: float) -> float:
     the interior ones twice; it is one dot of the interleaved real and
     imaginary parts against the cached weights.
     """
-    weights = _cached_pairing_weights(grid.half_width, grid.n_points, validate_order(alpha))
+    weights = _cached_pairing_weights(grid.half_width, grid.n_points, alpha)
     return float(weights @ (x.view(np.float64) * y.view(np.float64)))
 
 
 @functools.lru_cache(maxsize=8)
 def _cached_pairing_weights(half_width: float, n_points: int, alpha: float) -> np.ndarray:
     """Read-only dw/2pi (1 + |w_k|^(2 alpha)) for k <= N/2, doubled for 0 < k < N/2,
-    each entry repeated for the real and the imaginary part; dw/2pi = 1/(2L)."""
+    each entry repeated for the real and the imaginary part; dw/2pi = 1/(2L).
+    The even-symbol builder checks alpha."""
     _, k_symbol, _ = _cached_even_symbols(half_width, n_points, alpha)
     half = k_symbol / (2.0 * half_width)
     half[1:-1] *= 2.0

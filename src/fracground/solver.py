@@ -10,7 +10,7 @@ field is first moved to its translate of least projected energy: the
 perturbed level lies strictly below the autonomous one, and translation is
 the one direction along which descent from an off-centre start would crawl.  A sliding-window mass
 diagnostic locates where a field concentrates; in the translation-invariant
-(autonomous) case the start is recentred once, before descent, when it
+case a = 0 the start is recentred once, before descent, when it
 concentrates too far out, mirroring the translation normalization that
 restores compactness in the underlying analysis.
 """
@@ -48,7 +48,7 @@ __all__ = [
     "compare_levels",
 ]
 
-#: radius of the mass window that recentres an autonomous start, once, before
+#: radius of the mass window that recentres a start with a = 0, once, before
 #: descent, and that the report reads
 WINDOW_RADIUS = 1.0
 
@@ -172,8 +172,9 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     s * gradient is below the rounding of u) is not progress, so a
     residual_tol below the energy-resolution floor (about 2e-8 at L = 32,
     N = 1024) ends in DivergedError rather than in spent max_iters.
-    Recentring (autonomous runs only) shifts the start by whole cells when it
-    concentrates beyond L/4; the iteration commutes with such shifts.
+    Recentring (a = 0 only, whether set by ``autonomous`` or by amplitude 0)
+    shifts the start by whole cells when it concentrates beyond L/4; the
+    iteration commutes with such shifts.
     """
     grid = config.grid()
     if grid.spacing > WINDOW_RADIUS:
@@ -186,7 +187,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
         raise NoPositivePartError("initial field has no positive part")
     u0, _ = _best_translate(u0, spec)
     cells = 0
-    if config.autonomous:
+    if spec.perturbation.amplitude == 0.0:
         centre = vanishing_diagnostic(u0, WINDOW_RADIUS).argmax_y
         if abs(centre) > grid.half_width / 4.0:
             cells = int(round(centre / grid.spacing))

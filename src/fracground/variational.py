@@ -164,8 +164,8 @@ def fiber_map(u: SpectralField, spec: NonlinearitySpec, alpha: float, sigma_grid
     """
     alpha = validate_order(alpha, within="variational")
     sigmas = np.asarray(list(sigma_grid), dtype=float)
-    if sigmas.size == 0 or np.any(sigmas <= 0):
-        raise ValueError("sigma grid must be nonempty and positive")
+    if sigmas.size == 0 or not np.all((0 < sigmas) & (sigmas < np.inf)):
+        raise ValueError("sigma grid must be nonempty, positive and finite")
     if not np.any(u.values != 0):
         raise ValueError("fiber map requires a nonzero field")
     norm_sq = h_alpha_norm_sq(u, alpha)

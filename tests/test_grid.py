@@ -161,7 +161,7 @@ class TestLpNorm:
         total = lp_norm(left + right, 2) ** 2
         assert abs(total - lp_norm(left, 2) ** 2 - lp_norm(right, 2) ** 2) < 1e-10
 
-    @pytest.mark.parametrize("p", [1.0, 1.9, 0.5])
+    @pytest.mark.parametrize("p", [1.0, 1.9, 0.5, np.nan, -np.inf])
     def test_p_below_two_rejected(self, default_grid, p):
         u = gaussian_field(default_grid)
         with pytest.raises(ValueError, match=">= 2"):

@@ -362,6 +362,16 @@ class TestAutonomy:
         assert by_flag.level == by_spec.level
         assert by_flag.iterations == by_spec.iterations
 
+    def test_far_start_recentres_under_either_spelling(self):
+        # autonomous=True and amplitude 0 are the same a = 0 problem, so both recentre
+        common = dict(half_width=32.0, n_points=2048, init=InitSpec(center=20.0))
+        by_flag = solve_ground_state(SolveConfig(autonomous=True, **common))
+        by_spec = solve_ground_state(
+            SolveConfig(spec=NonlinearitySpec(perturbation=Perturbation(amplitude=0.0)), **common)
+        )
+        assert by_flag.recentred_shift == by_spec.recentred_shift == 20.0
+        assert np.array_equal(by_flag.field.values, by_spec.field.values)
+
 
 class TestCompareLevels:
     def test_zero_amplitude_matches_autonomous(self):

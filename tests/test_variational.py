@@ -172,6 +172,9 @@ class TestFiberMap:
             fiber_map(zero_field(default_grid), SPEC, 0.75, [1.0])
         with pytest.raises(ValueError, match="positive"):
             fiber_map(gaussian_field(default_grid), SPEC, 0.75, [0.0, 1.0])
+        for sigmas in ([0.5, np.nan], [0.5, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                fiber_map(gaussian_field(default_grid), SPEC, 0.75, sigmas)
 
 
 class TestNehariProjection:
