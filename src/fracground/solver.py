@@ -1,18 +1,20 @@
 """Ground-state solver, mountain-pass path deformation, and level comparison.
 
-The solver runs preconditioned descent with reprojection onto the
-stationarity manifold after every step, so iterates never collapse to zero.
-Every step is first tried at full length, which makes the descent the
-Petviashvili iteration; a step is accepted only if it strictly lowers the
-energy, so accepted energies strictly decrease and a bad full step is
-halved.  When the perturbation a(t) is not identically zero, the initial
-field is first moved to its translate of least projected energy: the
-perturbed level lies strictly below the autonomous one, and translation is
-the one direction along which descent from an off-centre start would crawl.  A sliding-window mass
-diagnostic locates where a field concentrates; in the translation-invariant
-case a = 0 the start is recentred once, before descent, when it
-concentrates too far out, mirroring the translation normalization that
-restores compactness in the underlying analysis.
+The solver minimizes the energy over the stationarity manifold.  Its base
+step is the Petviashvili iteration: the full preconditioned descent step,
+reprojected onto the manifold so that iterates never collapse to zero.
+That map converges only linearly, so each iteration first tries an
+Anderson-mixed iterate of depth 3 (Walker & Ni, SIAM J. Numer. Anal. 49,
+2011), kept only if it lowers the energy by more than a rounding margin;
+otherwise the history is cleared and the base step is halved until it
+strictly lowers the energy.  So accepted energies strictly decrease.  When
+a(t) is not zero on the grid, the start is first moved to its translate of
+least projected energy: the perturbed level lies strictly below the
+autonomous one, and translation is the one direction along which descent
+from an off-centre start would crawl.  A sliding-window mass diagnostic
+locates where a field concentrates; when a = 0 the start is recentred once,
+before descent, if it concentrates too far out, mirroring the translation
+normalization that restores compactness in the underlying analysis.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from .nonlinearity import NonlinearitySpec
 # h_alpha_norm_sq is unused here: it is bound by name so that bench/tracer.py can rebind it
 from .operators import _pairing, h_alpha_norm_sq, validate_order
 from .variational import (
+    NehariResult,
     _best_translate,
     _segment_bounds,
     _segment_energies,
+    _translation_invariant,
     energy,
     gradient,
     nehari_project,
@@ -54,6 +58,13 @@ WINDOW_RADIUS = 1.0
 
 #: descent step size below which the line search gives up
 _STEP_UNDERFLOW = 1e-8
+
+#: number of past differences an Anderson-mixed iterate combines
+_DEPTH = 3
+
+#: a mixed iterate is accepted only if it lowers the energy by more than this
+#: many |E|, a few ulp: a decrease at the rounding level is not progress
+_MIX_MARGIN = 16.0 * np.finfo(np.float64).eps
 
 #: relative margin by which a segment's bound must fall short of the best
 #: sampled energy before the segment is skipped; it covers the rounding of both
@@ -153,27 +164,32 @@ class SolveReport:
 
 
 def solve_ground_state(config: SolveConfig) -> SolveReport:
-    """Preconditioned descent with reprojection: u <- project(u - s * grad).
+    """Anderson-mixed preconditioned descent with reprojection onto the manifold.
 
-    With K = 1 + |w|^(2 alpha) the preconditioned gradient is u - K^-1 f(u),
-    so the full step s = 1 tries K^-1 f(u), scaled onto the manifold by the
-    projection: the Petviashvili iteration.  When a(t) is not identically
-    zero, the initial field is first moved to the translate of least
-    projected energy (``variational._best_translate``), so the descent does
-    not crawl along the near-neutral translation mode; with a = 0 every
-    translate has the same energy and the field is left as it is.
+    With K = 1 + |w|^(2 alpha) the preconditioned gradient is
+    g = u - K^-1 f(u), and the projection of u - g is the Petviashvili
+    step.  Each iteration first tries the type-II Anderson iterate
+    u - g - sum_j gamma_j (dU_j - dG_j), where dU_j, dG_j are the last
+    ``_DEPTH`` = 3 differences of accepted iterates and of their gradients
+    and gamma is the least-squares fit of g by the dG_j.  Its values and
+    spectrum are one small matvec each, so an iteration still makes two
+    transforms, both in ``gradient``.  The projected mixed iterate is
+    accepted only if its energy is below the current one by more than
+    16 eps |E|; a decrease at the rounding level would walk through the
+    energy-resolution floor.  Otherwise, or if the fit's Gram system is
+    singular, the history is cleared and the plain step u - s g is taken:
+    s = 1, halved until the projection lowers the energy strictly.  A step
+    below 1e-8 raises DivergedError, which carries the report up to the
+    last accepted iterate, so a residual_tol below the floor (about 1e-8 at
+    L = 32, N = 1024) ends there rather than in spent max_iters.  Else the
+    descent stops when the preconditioned residual norm drops below
+    residual_tol or the iteration budget runs out.
 
-    Stops when the preconditioned residual norm drops below residual_tol or
-    the iteration budget runs out.  The step is halved whenever a trial
-    projection fails to lower the energy strictly and reset to 1 after every
-    accepted step; underflow of the step below 1e-8 raises DivergedError,
-    which carries the report up to the last accepted iterate.
-    A trial whose energy merely equals the current one (a null step, as when
-    s * gradient is below the rounding of u) is not progress, so a
-    residual_tol below the energy-resolution floor (about 2e-8 at L = 32,
-    N = 1024) ends in DivergedError rather than in spent max_iters.
-    Recentring (a = 0 only, whether set by ``autonomous`` or by amplitude 0)
-    shifts the start by whole cells when it concentrates beyond L/4; the
+    When 1 + a(t) is not exactly 1 on the grid, the start is first moved to
+    its translate of least projected energy (``variational._best_translate``).
+    When it is (``autonomous``, amplitude 0 or an amplitude that rounds
+    away), every translate has the same energy, and a start that
+    concentrates beyond L/4 is instead recentred by whole cells; the
     iteration commutes with such shifts.
     """
     grid = config.grid()
@@ -187,7 +203,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
         raise NoPositivePartError("initial field has no positive part")
     u0, _ = _best_translate(u0, spec)
     cells = 0
-    if spec.perturbation.amplitude == 0.0:
+    if _translation_invariant(spec, grid):
         centre = vanishing_diagnostic(u0, WINDOW_RADIUS).argmax_y
         if abs(centre) > grid.half_width / 4.0:
             cells = int(round(centre / grid.spacing))
@@ -200,7 +216,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     sigma_history = [proj.sigma]
     residual_history: list[float] = []
     energy_history = [current_energy]
-    step = 1.0
+    history = _MixingHistory(grid)
     iterations = 0
 
     def report(converged: bool) -> SolveReport:
@@ -224,33 +240,99 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
         residual_history.append(grad.residual_norm)
         if grad.residual_norm <= config.residual_tol:
             return report(True)
-        while True:
-            trial = u - step * grad.precond_gradient
-            try:
-                proj = nehari_project(trial, spec, alpha)
-            except NoPositivePartError:
-                proj = None
-            if proj is not None and proj.energy < current_energy:
-                u = proj.projected
-                current_energy = proj.energy
-                nehari_residual = proj.constraint_residual
-                sigma_history.append(proj.sigma)
-                step = 1.0
-                break
-            step *= 0.5
-            if step < _STEP_UNDERFLOW:
-                raise DivergedError(
-                    f"descent step underflowed below {_STEP_UNDERFLOW:.0e} without a "
-                    f"strict energy decrease: energy-resolution floor at residual "
-                    f"{grad.residual_norm:.3e}, last accepted energy {current_energy!r}",
-                    report(False),
-                )
+        history.push(u, grad.precond_gradient)
+        proj = _project_or_none(history.mixed(), spec, alpha)
+        if proj is None or not proj.energy < current_energy - _MIX_MARGIN * abs(current_energy):
+            history.clear()
+            step = 1.0
+            while True:
+                proj = _project_or_none(u - step * grad.precond_gradient, spec, alpha)
+                if proj is not None and proj.energy < current_energy:
+                    break
+                step *= 0.5
+                if step < _STEP_UNDERFLOW:
+                    raise DivergedError(
+                        f"descent step underflowed below {_STEP_UNDERFLOW:.0e} without a "
+                        f"strict energy decrease: energy-resolution floor at residual "
+                        f"{grad.residual_norm:.3e}, last accepted energy {current_energy!r}",
+                        report(False),
+                    )
+        u = proj.projected
+        current_energy = proj.energy
+        nehari_residual = proj.constraint_residual
+        sigma_history.append(proj.sigma)
         iterations += 1
         energy_history.append(current_energy)
 
     # max_iters exhausted; record the final residual for the report
     residual_history.append(gradient(u, spec, alpha).residual_norm)
     return report(False)
+
+
+def _project_or_none(
+    trial: SpectralField | None, spec: NonlinearitySpec, alpha: float
+) -> NehariResult | None:
+    """The Nehari projection of a trial field; None without a trial or a positive part."""
+    if trial is None:
+        return None
+    try:
+        return nehari_project(trial, spec, alpha)
+    except NoPositivePartError:
+        return None
+
+
+class _MixingHistory:
+    """The last pushed iterate (u, g) and the last ``_DEPTH`` differences before it.
+
+    Fixed rings of ``_DEPTH`` rows hold the gradient differences dG_j
+    (values) and dU_j - dG_j (values, and spectra as float pairs); a
+    least-squares fit does not depend on the order of its columns.
+    ``clear`` drops the differences but keeps the last iterate.
+    """
+
+    def __init__(self, grid: Grid1D) -> None:
+        self.grid = grid
+        self.grad_diffs = np.empty((_DEPTH, grid.n_points))
+        self.image_diffs = np.empty((_DEPTH, grid.n_points))
+        self.image_spectrum_diffs = np.empty((_DEPTH, 2 * (grid.nyquist_index + 1)))
+        self.count = 0
+        self.slot = 0
+        self.last: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def clear(self) -> None:
+        # rows [:count] are the valid ones, so the ring restarts at row 0
+        self.count = self.slot = 0
+
+    def push(self, u: SpectralField, g: SpectralField) -> None:
+        """Make (u, g) the last iterate, recording its differences from the one before."""
+        image_spectrum = (u.spectrum - g.spectrum).view(np.float64)
+        current = (g.values, u.values - g.values, image_spectrum)
+        if self.last is not None:
+            rows = (self.grad_diffs, self.image_diffs, self.image_spectrum_diffs)
+            for row, new, old in zip(rows, current, self.last):
+                np.subtract(new, old, out=row[self.slot])
+            self.slot = (self.slot + 1) % _DEPTH
+            self.count = min(self.count + 1, _DEPTH)
+        self.last = current
+
+    def mixed(self) -> SpectralField | None:
+        """The mixed iterate u - g - sum_j gamma_j (dU_j - dG_j) at the last iterate (u, g).
+
+        gamma is the least-squares fit of g by the dG_j.  None when there are
+        no differences or their Gram system is singular.
+        """
+        n = self.count
+        if n == 0:
+            return None
+        grad, image_values, image_spectrum = self.last
+        grad_diffs = self.grad_diffs[:n]
+        try:
+            gamma = np.linalg.solve(grad_diffs @ grad_diffs.T, grad_diffs @ grad)
+        except np.linalg.LinAlgError:
+            return None
+        values = image_values - gamma @ self.image_diffs[:n]
+        spectrum = image_spectrum - gamma @ self.image_spectrum_diffs[:n]
+        return SpectralField._join(self.grid, values, spectrum.view(np.complex128))
 
 
 # -- mountain-pass path --------------------------------------------------------

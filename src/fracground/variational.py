@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoPositivePartError
-from .grid import SpectralField, translate
+from .grid import Grid1D, SpectralField, translate
 # eval_df is unused here; bench/tracer.py binds it in this module and fails if it is missing
 from .nonlinearity import NonlinearitySpec, _coefficient, _power_plus, eval_F, eval_df, eval_f
 from .operators import (
@@ -214,6 +214,15 @@ def nehari_project(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> Ne
     return NehariResult(sigma, projected, residual, breakdown.total)
 
 
+def _translation_invariant(spec: NonlinearitySpec, grid: Grid1D) -> bool:
+    """Whether 1 + a(t) is exactly 1 at every node, so that every translate has the same energy.
+
+    This is the one test of a = 0: an amplitude that rounds away on the grid
+    passes it as amplitude 0 does.
+    """
+    return bool(np.all(_coefficient(spec, grid) == 1.0))
+
+
 #: cap on the sub-cell evaluations of the translation search
 _TRANSLATE_EVALS = 5
 
@@ -231,9 +240,9 @@ def _best_translate(u: SpectralField, spec: NonlinearitySpec) -> tuple[SpectralF
     """
     grid = u.grid
     h, n = grid.spacing, grid.n_points
-    coeff = _coefficient(spec, grid)
-    if np.all(coeff == 1.0):
+    if _translation_invariant(spec, grid):
         return u, 0.0
+    coeff = _coefficient(spec, grid)
     peak, power = float(np.max(u.values)), spec.p + 1.0
 
     def integral(fld: SpectralField) -> float:

@@ -249,9 +249,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not a uniform"):
             field_from_csv(str(path))
 
-    def test_csv_bytes_match_row_by_row_format(self, tmp_path):
-        u = solve_ground_state(SolveConfig()).field
-        path = tmp_path / "field.csv"
-        field_to_csv(u, str(path))
-        rows = "".join(f"{float(t)!r},{float(x)!r}\n" for t, x in zip(u.grid.nodes, u.values))
-        assert path.read_bytes() == ("t,u\n" + rows).encode("utf-8")
+    def test_csv_bytes_match_row_by_row_format(self, tmp_path, rng):
+        # the default solve's field, and a field on a grid whose spacing 20/96 is
+        # not dyadic; the second write of each reads its node column from the cache
+        fields = [
+            solve_ground_state(SolveConfig()).field,
+            random_band_limited_field(make_grid(10.0, 96), rng),
+        ]
+        for u in fields:
+            rows = "".join(f"{float(t)!r},{float(x)!r}\n" for t, x in zip(u.grid.nodes, u.values))
+            for _ in range(2):
+                path = tmp_path / "field.csv"
+                field_to_csv(u, str(path))
+                assert path.read_bytes() == ("t,u\n" + rows).encode("utf-8")
