@@ -23,7 +23,6 @@ L2 norm of what it dropped.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,17 +260,9 @@ def translate(fld: SpectralField, shift: float) -> SpectralField:
 
 def field_to_csv(fld: SpectralField, path: str) -> None:
     """Write a field as CSV with columns t, u (shortest round-trip floats)."""
-    nodes = _cached_node_reprs(fld.grid.half_width, fld.grid.n_points)
-    rows = "".join([f"{t},{u!r}\n" for t, u in zip(nodes, fld.values.tolist())])
+    rows = "".join([f"{t!r},{u!r}\n" for t, u in zip(fld.grid.nodes.tolist(), fld.values.tolist())])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,u\n" + rows)
-
-
-# keyed on the grid's numbers, like operators._cached_even_symbols
-@functools.lru_cache(maxsize=8)
-def _cached_node_reprs(half_width: float, n_points: int) -> tuple[str, ...]:
-    """The ``repr`` of every node of the grid, as a read-only tuple."""
-    return tuple(repr(t) for t in make_grid(half_width, n_points).nodes.tolist())
 
 
 def field_from_csv(path: str) -> SpectralField:

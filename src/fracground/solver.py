@@ -241,7 +241,8 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
         if grad.residual_norm <= config.residual_tol:
             return report(True)
         history.push(u, grad.precond_gradient)
-        proj = _project_or_none(history.mixed(), spec, alpha)
+        mixed = history.mixed()
+        proj = None if mixed is None else _project_or_none(mixed, spec, alpha)
         if proj is None or not proj.energy < current_energy - _MIX_MARGIN * abs(current_energy):
             history.clear()
             step = 1.0
@@ -269,12 +270,8 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     return report(False)
 
 
-def _project_or_none(
-    trial: SpectralField | None, spec: NonlinearitySpec, alpha: float
-) -> NehariResult | None:
-    """The Nehari projection of a trial field; None without a trial or a positive part."""
-    if trial is None:
-        return None
+def _project_or_none(trial: SpectralField, spec: NonlinearitySpec, alpha: float) -> NehariResult | None:
+    """The Nehari projection of a trial field; None if it has no positive part."""
     try:
         return nehari_project(trial, spec, alpha)
     except NoPositivePartError:

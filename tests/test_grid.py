@@ -251,7 +251,7 @@ class TestSerialization:
 
     def test_csv_bytes_match_row_by_row_format(self, tmp_path, rng):
         # the default solve's field, and a field on a grid whose spacing 20/96 is
-        # not dyadic; the second write of each reads its node column from the cache
+        # not dyadic; a second write of each gives the same bytes
         fields = [
             solve_ground_state(SolveConfig()).field,
             random_band_limited_field(make_grid(10.0, 96), rng),

@@ -182,8 +182,8 @@ class TestSolveGroundState:
             assert report.iterations == max_iters and not report.converged
             return len(fft_calls)
 
-        counts = {k: transforms(k) for k in (2, 6, 10)}
-        for j, k in [(2, 6), (6, 10), (2, 10)]:
+        counts = {k: transforms(k) for k in (2, 5, 8)}
+        for j, k in [(2, 5), (5, 8), (2, 8)]:
             assert 0 < counts[k] - counts[j] <= 2 * (k - j)
 
     def test_custom_init_round_trip(self, tmp_path):
