@@ -23,6 +23,7 @@ L2 norm of what it dropped.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,14 +94,24 @@ def make_grid(half_width: float, n_points: int) -> Grid1D:
 class SpectralField:
     """Real-valued sampled function with its continuum-calibrated spectrum (modes k <= N/2).
 
-    Both representations are computed eagerly on construction, so instances
-    are immutable and safe to share between threads.  Arithmetic combines
-    both representations linearly and makes no transform.
+    The values are checked and frozen on construction.  The spectrum is made
+    on its first read and kept, read-only, so a field whose spectrum is never
+    read costs no transform; two threads racing on the first read at worst
+    compute the same array twice.  Arithmetic combines both representations
+    linearly and makes no transform.
     """
 
     grid: Grid1D
     values: np.ndarray = field(repr=False)
-    spectrum: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """``h (-1)^k rfft(values)`` on the modes k <= N/2, read-only."""
+        spectrum = np.fft.rfft(self.values)
+        spectrum[0::2] *= self.grid.spacing
+        spectrum[1::2] *= -self.grid.spacing
+        spectrum.flags.writeable = False
+        return spectrum
 
     @classmethod
     def from_values(cls, grid: Grid1D, values: np.ndarray) -> "SpectralField":
@@ -109,15 +120,11 @@ class SpectralField:
             raise ValueError(
                 f"values must have shape ({grid.n_points},), got {values.shape}"
             )
-        # checked before the transform, which warns on non-finite input
+        # checked here, not at the first read: the transform warns on non-finite input
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
-        spectrum = np.fft.rfft(values)
-        spectrum[0::2] *= grid.spacing
-        spectrum[1::2] *= -grid.spacing
         values.flags.writeable = False
-        spectrum.flags.writeable = False
-        return cls(grid, values, spectrum)
+        return cls(grid, values)
 
     @classmethod
     def _join(cls, grid: Grid1D, values: np.ndarray, spectrum: np.ndarray) -> "SpectralField":
@@ -126,7 +133,9 @@ class SpectralField:
             raise ValueError("field values must be finite")
         values.flags.writeable = False
         spectrum.flags.writeable = False
-        return cls(grid, values, spectrum)
+        fld = cls(grid, values)
+        fld.__dict__["spectrum"] = spectrum  # fills the cached property
+        return fld
 
     @classmethod
     def from_spectrum(cls, grid: Grid1D, spectrum: np.ndarray) -> "SpectralField":

@@ -18,8 +18,12 @@ A Grunwald-Letnikov difference-quotient discretization of the same
 derivatives is provided as an independent time-domain oracle; it treats the
 field as zero outside the grid, hence its compact-support precondition.  It
 convolves the weights with the run of values that are not exactly zero only,
-as a zero-padded product of real-input FFTs, so the package runs on numpy
-alone.
+with real-input FFTs, so the package runs on numpy alone.  The convolution is
+cut into blocks by the overlap-add method (Stockham, AFIPS SJCC 28, 1966): the
+run, of r points, is transformed once at a power-of-two length p of about
+four run lengths, and each block of p - r + 1 weights is transformed,
+multiplied and added into the output.  Transforms of p points stay near cache
+size, where one product of the whole sequences at N or 2N points does not.
 """
 
 from __future__ import annotations
@@ -217,17 +221,41 @@ GL_WEIGHT_CUTOFF = 1e-14
 SUPPORT_MARGIN_FRACTION = 0.25
 
 
-def fftconvolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of the linear convolution of two real sequences.
+#: floor of the overlap-add transform length: it keeps the number of blocks
+#: of a short run, each a few Python-level calls, in the tens
+OVERLAP_ADD_MIN_LENGTH = 2 ** 15
 
-    Both are zero-padded to the power of two m >= len(a) + len(b) - 1, so the
-    circular convolution of the padded sequences, one real-input transform
-    product, is the linear one.  At most m terms are returned.
+
+def fftconvolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of the linear convolution of two real sequences, at most m of them.
+
+    m is the power of two >= len(a) + len(b) - 1, at which one real-input
+    transform product of the whole sequences is the linear convolution.  The
+    product is taken by overlap-add over blocks of a instead, so that each
+    transform stays near cache size however long a is.  b, of r terms, is
+    transformed once at p, the smallest power of two >= 4 r, floored at
+    OVERLAP_ADD_MIN_LENGTH and capped at m.  Each block of p - r + 1 terms of
+    a is transformed at p, multiplied, inverted and added into the output at
+    its offset.  When the pair fits in one block (p = m, always so when b is
+    the longer one) this is the one product of the whole sequences, in the
+    same order, bit for bit.
+
+    Blocks raise the roundoff of each term above that of the one product,
+    whose padding spreads it over more terms; at p >= 4 r it stays near the
+    roundoff of a float64 direct sum.
     """
-    m = 1 << (len(a) + len(b) - 2).bit_length()
-    prod = np.fft.rfft(a, m)
-    prod *= np.fft.rfft(b, m)
-    return np.fft.irfft(prod, m)[:n]
+    r = len(b)
+    m = 1 << (len(a) + r - 2).bit_length()
+    p = min(m, max(OVERLAP_ADD_MIN_LENGTH, 1 << (4 * r - 1).bit_length()))
+    step = p - r + 1
+    b_spectrum = np.fft.rfft(b, p)
+    out = np.zeros(min(n, m))
+    for start in range(0, min(len(a), out.size), step):
+        prod = np.fft.rfft(a[start : start + step], p)
+        prod *= b_spectrum
+        head = out[start : start + p]
+        head += np.fft.irfft(prod, p)[: head.size]
+    return out
 
 
 def gl_weights(alpha: float, max_terms: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from fracground import (
     field_from_csv,
     field_to_csv,
     gaussian_field,
+    gl_oracle,
     inner,
     lp_norm,
     make_grid,
@@ -132,6 +133,43 @@ class TestTransform:
         vals[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             SpectralField.from_values(small_grid, vals)
+
+
+class TestLazySpectrum:
+    @pytest.fixture
+    def rfft_calls(self, monkeypatch):
+        """A list that grows by one on every numpy.fft.rfft call."""
+        calls = []
+        original = np.fft.rfft
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        return calls
+
+    def test_spectrum_is_made_on_first_read_and_kept(self, default_grid, rfft_calls):
+        values = np.exp(-((default_grid.nodes - 3.0) ** 2))
+        u = SpectralField.from_values(default_grid, values)
+        assert rfft_calls == []
+        first = u.spectrum
+        assert len(rfft_calls) == 1
+        second = u.spectrum
+        assert second is first and not first.flags.writeable
+        # a whole-cell shift and a field built from a spectrum transform nothing either
+        shift_cells(u, 5)
+        SpectralField.from_spectrum(default_grid, first)
+        assert len(rfft_calls) == 1
+        signs = (-1.0) ** np.arange(default_grid.nyquist_index + 1)
+        assert np.array_equal(first, default_grid.spacing * (signs * np.fft.rfft(values)))
+
+    def test_oracle_transforms_neither_its_input_nor_its_output(self, default_grid, rfft_calls):
+        u = gaussian_field(default_grid, width=1.0)
+        out = gl_oracle(u, 0.7, "left")
+        in_oracle = len(rfft_calls)  # the convolution's own transforms
+        _ = out.spectrum, u.spectrum  # each first read makes one transform
+        assert len(rfft_calls) == in_oracle + 2
 
 
 class TestLpNorm:

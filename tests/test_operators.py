@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -219,6 +221,14 @@ class TestComposedOperator:
         assert rel_l2(composed_operator(u, alpha), sequential) < 1e-12
 
 
+@functools.lru_cache(maxsize=None)
+def _long_short_convolution(len_short):
+    """A long and a short random sequence and their direct linear convolution."""
+    rng = np.random.default_rng(len_short)
+    long_seq, short = rng.standard_normal(3 * 2 ** 16), rng.standard_normal(len_short)
+    return long_seq, short, np.convolve(long_seq, short)
+
+
 class TestGLOracle:
     @pytest.mark.parametrize("len_a, len_b", [(1, 16), (2, 4096), (15, 100), (4096, 4096)])
     def test_fftconvolve_is_the_truncated_linear_convolution(self, rng, len_a, len_b):
@@ -228,6 +238,26 @@ class TestGLOracle:
         out = fftconvolve(a, b, n)
         assert out.shape == (n,)
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("len_short", [3, 1000, 20_000])
+    @pytest.mark.parametrize("short_first", [False, True])
+    @pytest.mark.parametrize("n_offset", [-5000, 0, 1, 4096])
+    def test_fftconvolve_over_many_blocks(self, len_short, short_first, n_offset):
+        # a long first argument of 3 * 2^16 terms takes 2 to 7 overlap-add
+        # blocks, a long second one a single block; n runs below, at and above
+        # the full linear length len(a) + len(b) - 1
+        long_seq, short, expected = _long_short_convolution(len_short)
+        a, b = (short, long_seq) if short_first else (long_seq, short)
+        full = expected.size
+        n = full + n_offset
+        m = 1 << (full - 1).bit_length()
+        out = fftconvolve(a, b, n)
+        assert out.shape == (min(n, m),)
+        head = min(n, full)
+        peak = np.max(np.abs(expected))
+        assert np.max(np.abs(out[:head] - expected[:head])) <= 1e-12 * peak
+        # past the linear length only roundoff is left
+        assert np.max(np.abs(out[head:]), initial=0.0) <= 1e-12 * peak
 
     def test_fftconvolve_matches_scipy_bit_for_bit(self, rng):
         from scipy.signal import fftconvolve as scipy_fftconvolve
@@ -247,6 +277,31 @@ class TestGLOracle:
         weights = gl_weights(alpha, max_terms)
         assert len(weights) == len(reference)
         assert np.all(np.abs(weights - reference) <= 1e-12 * np.abs(reference))
+
+    @pytest.mark.parametrize("width", [0.25, 1.0])
+    @pytest.mark.parametrize("alpha", [0.6, 0.95])
+    def test_roundoff_against_a_long_double_direct_sum(self, alpha, width):
+        # the FFT convolution cancels O(1) values down to h^alpha D^alpha u, so
+        # its roundoff is pinned relative to the output peak; the run of 4.9k or
+        # 19.8k values against ~1.1e5 weights takes 4 or 2 overlap-add blocks
+        grid = make_grid(512.0, 2 ** 18)
+        n = grid.n_points
+        u = SpectralField.from_values(grid, np.exp(-((grid.nodes - 100.0) ** 2) / (2.0 * width ** 2)))
+        out = gl_oracle(u, alpha, "left").values
+        run = np.flatnonzero(u.values)
+        i0, i1 = int(run[0]), int(run[-1]) + 1
+        weights = gl_weights(alpha, n - i0 - 1).astype(np.longdouble)
+        values = u.values[i0:i1].astype(np.longdouble)
+        scale = np.longdouble(grid.spacing) ** np.longdouble(-alpha)
+        edges = [i0, i0 + 1, i1 - 2, i1 - 1, i1, i1 + 1, n - 1]
+        sampled = np.unique(np.concatenate((np.linspace(i0, n - 1, 293).astype(int), edges)))
+        errors = []
+        for j in sampled:
+            terms = min(j + 1, i1) - i0  # values i0 .. i0 + terms - 1 reach node j
+            direct = np.sum(weights[j - i0 - np.arange(terms)] * values[:terms]) * scale
+            errors.append(abs(np.longdouble(out[j]) - direct))
+        assert len(sampled) >= 295
+        assert float(max(errors)) <= 1e-13 * np.max(np.abs(out))
 
     def test_zero_field(self, default_grid):
         u = SpectralField.from_values(default_grid, np.zeros(default_grid.n_points))
