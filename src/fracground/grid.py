@@ -43,20 +43,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid on [-L, L) with the angular frequencies pi k / L, k = 0..N/2."""
+    """Uniform periodic grid on [-L, L) with the angular frequencies pi k / L, k = 0..N/2.
+
+    Equal and hashed by (L, N) alone, which fix the rest: per-grid tables are cached on the grid.
+    """
 
     half_width: float
     n_points: int
-    spacing: float
-    nodes: np.ndarray = field(repr=False)
-    frequencies: np.ndarray = field(repr=False)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Grid1D):
-            return NotImplemented
-        return self.half_width == other.half_width and self.n_points == other.n_points
+    spacing: float = field(compare=False)
+    nodes: np.ndarray = field(repr=False, compare=False)
+    frequencies: np.ndarray = field(repr=False, compare=False)
 
     @property
     def frequency_step(self) -> float:
@@ -236,9 +234,14 @@ def gaussian_field(
     """Gaussian bump amplitude * exp(-(t - center)^2 / (2 width^2)), centred in [-L, L]."""
     if not -grid.half_width <= center <= grid.half_width:
         raise ValueError(f"center must be in [-L, L], L = {grid.half_width}, got {center}")
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    values = amplitude * np.exp(-((grid.nodes - center) ** 2) / (2.0 * width ** 2))
+    width = float(width)
+    try:
+        spread = 2.0 * width ** 2
+    except OverflowError:
+        spread = np.inf
+    if not (0 < width < np.inf and 0 < spread < np.inf):
+        raise ValueError(f"width must be in (0, inf) with 2 width^2 finite and positive, got {width}")
+    values = amplitude * np.exp(-((grid.nodes - center) ** 2) / spread)
     return SpectralField.from_values(grid, values)
 
 

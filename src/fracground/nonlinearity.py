@@ -30,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .grid import Grid1D, make_grid
+from .grid import Grid1D
 
 __all__ = [
     "Perturbation",
@@ -117,14 +117,13 @@ def _power_plus(xi: ArrayLike, e: float) -> np.ndarray:
 def _coefficient(spec: NonlinearitySpec, t: Union[Grid1D, ArrayLike]) -> np.ndarray:
     """1 + a(t); on a grid, the cached read-only array on its nodes."""
     if isinstance(t, Grid1D):
-        return _cached_coefficient(spec.perturbation, t.half_width, t.n_points)
+        return _cached_coefficient(spec.perturbation, t)
     return 1.0 + spec.perturbation.weight(t)
 
 
-# keyed on the grid's numbers, like operators._cached_even_symbols
 @functools.lru_cache(maxsize=8)
-def _cached_coefficient(perturbation: Perturbation, half_width: float, n_points: int) -> np.ndarray:
-    coeff = 1.0 + perturbation.weight(make_grid(half_width, n_points).nodes)
+def _cached_coefficient(perturbation: Perturbation, grid: Grid1D) -> np.ndarray:
+    coeff = 1.0 + perturbation.weight(grid.nodes)
     coeff.flags.writeable = False
     return coeff
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SpectralTailWarning, ZeroModeSingularError
-from .grid import Grid1D, SpectralField, _mode_power, lp_norm, make_grid, values_from_spectrum
+from .grid import Grid1D, SpectralField, _mode_power, lp_norm, values_from_spectrum
 
 __all__ = [
     "validate_order",
@@ -90,17 +90,12 @@ def validate_order(alpha: float, *, within: str = "derivative") -> float:
     return alpha
 
 
+# alpha is checked when a table is built, and lru_cache does not cache the error
+@functools.lru_cache(maxsize=8)
 def _even_symbols(grid: Grid1D, alpha: float) -> tuple[np.ndarray, ...]:
     """Read-only ``|w|^(2 alpha)``, ``1 + |w|^(2 alpha)`` and its inverse, cached."""
-    return _cached_even_symbols(grid.half_width, grid.n_points, alpha)
-
-
-# keyed on the grid's numbers: Grid1D defines __eq__ and so is unhashable; alpha
-# is checked when a table is built, and lru_cache does not cache the error
-@functools.lru_cache(maxsize=8)
-def _cached_even_symbols(half_width: float, n_points: int, alpha: float) -> tuple[np.ndarray, ...]:
     alpha = validate_order(alpha)
-    w_pow = make_grid(half_width, n_points).frequencies ** (2.0 * alpha)
+    w_pow = grid.frequencies ** (2.0 * alpha)
     symbols = (w_pow, w_pow + 1.0, 1.0 / (w_pow + 1.0))
     for sym in symbols:
         sym.flags.writeable = False
@@ -114,9 +109,11 @@ def multiplier_symbol(grid: Grid1D, alpha: float, kind: str) -> np.ndarray:
     ``(|w|^(2 alpha) + 1)^(-1)``; both are real and even so the Nyquist mode
     is kept; both are cached per (grid, alpha) and read-only.  The four
     one-sided kinds are complex, built per call, with the zero and Nyquist
-    entries zeroed.  Every symbol has the N/2 + 1 entries of a spectrum, at
-    w >= 0, where the phase ``exp(+-i a pi/2 * sign(w))`` is one scalar, so
-    each one-sided symbol is a real power of the frequencies times it.
+    entries zeroed; they are not cached, since cross-checks draw a new order
+    for nearly every call and a table holds N/2 + 1 complex entries per order
+    (16 MB at N = 2^21).  Every symbol has the N/2 + 1 entries of a spectrum,
+    at w >= 0, where the phase ``exp(+-i a pi/2 * sign(w))`` is one scalar,
+    so each one-sided symbol is a real power of the frequencies times it.
     """
     if kind not in SYMBOL_KINDS:
         raise ValueError(f"unknown symbol kind {kind!r}")
@@ -336,17 +333,16 @@ def _pairing(grid: Grid1D, x: np.ndarray, y: np.ndarray, alpha: float) -> float:
     the interior ones twice; it is one dot of the interleaved real and
     imaginary parts against the cached weights.
     """
-    weights = _cached_pairing_weights(grid.half_width, grid.n_points, alpha)
-    return float(weights @ (x.view(np.float64) * y.view(np.float64)))
+    return float(_pairing_weights(grid, alpha) @ (x.view(np.float64) * y.view(np.float64)))
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_pairing_weights(half_width: float, n_points: int, alpha: float) -> np.ndarray:
+def _pairing_weights(grid: Grid1D, alpha: float) -> np.ndarray:
     """Read-only dw/2pi (1 + |w_k|^(2 alpha)) for k <= N/2, doubled for 0 < k < N/2,
     each entry repeated for the real and the imaginary part; dw/2pi = 1/(2L).
     The even-symbol builder checks alpha."""
-    _, k_symbol, _ = _cached_even_symbols(half_width, n_points, alpha)
-    half = k_symbol / (2.0 * half_width)
+    _, k_symbol, _ = _even_symbols(grid, alpha)
+    half = k_symbol / (2.0 * grid.half_width)
     half[1:-1] *= 2.0
     weights = np.repeat(half, 2)
     weights.flags.writeable = False

@@ -88,24 +88,25 @@ def gradient(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> Gradient
     return GradientResult(precond, res_norm, alpha)
 
 
+def _segment_quadratic(lam, norm_a, cross, norm_b):
+    """||(1 - lam) a + lam b||_alpha^2 / 2 from ||a||_alpha^2, <a, b>_alpha and ||b||_alpha^2:
+    (1 - lam)^2 ||a||^2 + 2 lam (1 - lam) <a, b>_alpha + lam^2 ||b||^2, halved."""
+    return 0.5 * ((1.0 - lam) ** 2 * norm_a + 2.0 * lam * (1.0 - lam) * cross + lam ** 2 * norm_b)
+
+
 def _segment_energies(
     a: SpectralField, b: SpectralField, spec: NonlinearitySpec, alpha: float, lams
 ) -> np.ndarray:
     """E((1 - lam) a + lam b) for every lam, with the quadratic part in closed form.
 
-    Along the segment ||.||_alpha^2 is the quadratic
-    (1 - lam)^2 ||a||^2 + 2 lam (1 - lam) <a, b>_alpha + lam^2 ||b||^2, so
-    three spectral sums serve every lam; the potential is one ``eval_F`` call
-    on the stack of the combined values.
+    Along the segment ||.||_alpha^2 is a quadratic in lam, so three spectral
+    sums serve every lam; the potential is one ``eval_F`` call on the stack of
+    the combined values.
     """
     grid = a.grid
     cross = _pairing(grid, a.spectrum, b.spectrum, alpha)
     lam = np.asarray(lams, dtype=float)
-    quad = 0.5 * (
-        (1.0 - lam) ** 2 * h_alpha_norm_sq(a, alpha)
-        + 2.0 * lam * (1.0 - lam) * cross
-        + lam ** 2 * h_alpha_norm_sq(b, alpha)
-    )
+    quad = _segment_quadratic(lam, h_alpha_norm_sq(a, alpha), cross, h_alpha_norm_sq(b, alpha))
     stack = (1.0 - lam)[:, None] * a.values + lam[:, None] * b.values
     return quad - grid.spacing * np.sum(eval_F(spec, grid, stack), axis=1)
 
@@ -137,11 +138,7 @@ def _segment_bounds(path: list[SpectralField], spec: NonlinearitySpec, alpha: fl
         crossings = np.hstack([-p0 / d0, (d1 - p1) / d1, (p1 - d1 - p0) / (d0 - d1)])
     ends = np.broadcast_to([0.0, 1.0], (len(cross), 2))
     lam = np.hstack([ends, np.clip(np.nan_to_num(crossings), 0.0, 1.0)])
-    quad = 0.5 * (
-        (1.0 - lam) ** 2 * norms[:-1, None]
-        + 2.0 * lam * (1.0 - lam) * cross[:, None]
-        + lam ** 2 * norms[1:, None]
-    )
+    quad = _segment_quadratic(lam, norms[:-1, None], cross[:, None], norms[1:, None])
     lines = np.maximum(0.0, np.maximum(p0 + lam * d0, p1 - (1.0 - lam) * d1))
     return np.max(quad - lines, axis=1)
 
@@ -194,8 +191,8 @@ def nehari_project(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> Ne
     family would need a root-finder again.  As f(t, xi) xi = (p+1) F(t, xi),
     sigma takes one power pass on u / max(u), where u_+^(p+1) neither
     overflows nor underflows, and the residual reads the projected energy's
-    potential.  A sigma that is not finite and positive (||u||_alpha^2
-    underflowed) raises NoPositivePartError.
+    potential.  A sigma that is not finite and positive (||u||_alpha^2 or the
+    potential pairing underflowed) raises NoPositivePartError.
     """
     alpha = validate_order(alpha, within="variational")
     peak = float(np.max(u.values))
@@ -204,7 +201,9 @@ def nehari_project(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> Ne
     grid, power = u.grid, spec.p + 1.0
     unit_norm_sq = h_alpha_norm_sq(u, alpha) / peak / peak
     unit_pairing = power * grid.spacing * float(np.sum(eval_F(spec, grid, u.values / peak)))
-    sigma = (unit_norm_sq / unit_pairing) ** (1.0 / (spec.p - 1.0)) / peak
+    # the pairing is 0 once every u_+^(p+1) / max^(p+1) is flushed, as at p >~ 1e20
+    ratio = unit_norm_sq / unit_pairing if unit_pairing > 0.0 else np.inf
+    sigma = ratio ** (1.0 / (spec.p - 1.0)) / peak
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise NoPositivePartError(f"fiber scale {sigma!r} is not finite and positive")
     projected = sigma * u

@@ -152,6 +152,8 @@ class TestInvalidInput:
             ("validate-ops", ["N=15"]),
             ("solve", ["init.center=1e308"]),
             ("solve", ["a.kind=zero"]),
+            ("solve", ["init.width=1e300"]),
+            ("solve", ["init.width=1e-300"]),
         ],
     )
     def test_rejected_in_the_library_exits_2(self, tmp_path, capsys, cmd, items):
@@ -172,6 +174,8 @@ class TestInvalidInput:
             ("solve", "a.width=nan"),
             ("solve", "a.amplitude=inf"),
             ("validate-hypotheses", "theta=nan"),
+            ("solve", "init.width=inf"),
+            ("solve", "init.width=nan"),
         ],
     )
     def test_non_finite_parameter_exits_2(self, tmp_path, capsys, cmd, item):
@@ -181,6 +185,12 @@ class TestInvalidInput:
     def test_package_error_still_exits_1(self, tmp_path, capsys):
         code = run(["solve", "--output-dir", str(tmp_path / "x"), "--set", "init.amplitude=-1"])
         assert code == 1
+        assert "NoPositivePartError" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("cmd", ["solve", "compare"])
+    def test_flushed_potential_exits_1(self, tmp_path, capsys, cmd):
+        # at p = 1e20 the potential of u / max(u) flushes to 0 and no fiber scale exists
+        assert run([cmd, "--output-dir", str(tmp_path / "x"), "--set", "p=1e20"]) == 1
         assert "NoPositivePartError" in assert_one_error_line(capsys)
 
     @pytest.mark.parametrize(

@@ -55,6 +55,16 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match=">= 16"):
             make_grid(1.0, 8)
 
+    def test_grids_are_equal_and_hashed_by_l_and_n(self):
+        first, second = make_grid(8.0, 64), make_grid(8.0, 64)
+        assert first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert make_grid(8.0, 128) != first
+        assert make_grid(4.0, 64) != first
+        assert make_grid(8.0, 64) != "grid"
+
 
 class TestTransform:
     def test_pure_mode_spectrum_support(self, small_grid):

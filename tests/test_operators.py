@@ -24,7 +24,9 @@ from fracground.operators import (
     GL_WEIGHT_CUTOFF,
     SYMBOL_KINDS,
     TAIL_BAND_START,
+    _even_symbols,
     _pairing,
+    _pairing_weights,
     _tail_mass,
     apply_multiplier,
     fftconvolve,
@@ -58,6 +60,15 @@ class TestSymbols:
         left = multiplier_symbol(small_grid, 0.75, "left_deriv")
         right = multiplier_symbol(small_grid, 0.75, "right_deriv")
         assert np.allclose(right, np.conj(left))
+
+    def test_even_tables_are_shared_by_equal_grids(self):
+        first, second, other = make_grid(8.0, 64), make_grid(8.0, 64), make_grid(8.0, 128)
+        symbols, weights = _even_symbols(first, 0.75), _pairing_weights(first, 0.75)
+        assert not any(arr.flags.writeable for arr in (*symbols, weights))
+        assert all(a is b for a, b in zip(_even_symbols(second, 0.75), symbols))
+        assert _pairing_weights(second, 0.75) is weights
+        assert not any(a is b for a, b in zip(_even_symbols(other, 0.75), symbols))
+        assert _pairing_weights(other, 0.75) is not weights
 
     def test_branch_product_is_even_symbol(self, default_grid):
         # (iw)^a (-iw)^a = |w|^(2a) with exactly cancelling imaginary parts

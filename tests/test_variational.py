@@ -204,6 +204,12 @@ class TestNehariProjection:
         with pytest.raises(NoPositivePartError):
             nehari_project(u, SPEC, 0.75)
 
+    def test_flushed_potential_is_no_positive_part(self, default_grid):
+        # at p = 1e20 every u_+^(p+1) / max^(p+1), even at the peak, flushes to 0
+        spec = NonlinearitySpec(p=1e20, theta=4.0, p0=3.5)
+        with pytest.raises(NoPositivePartError):
+            nehari_project(gaussian_field(default_grid), spec, 0.75)
+
     def test_energy_dominates_fiber_samples(self, default_grid, rng):
         u = positive_random_field(default_grid, rng)
         result = nehari_project(u, SPEC, 0.75)
