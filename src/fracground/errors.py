@@ -12,7 +12,6 @@ __all__ = [
     "ZeroModeSingularError",
     "NoPositivePartError",
     "DivergedError",
-    "EndpointNotNegativeError",
     "SpectralTailWarning",
 ]
 
@@ -30,7 +29,8 @@ class ZeroModeSingularError(FracgroundError, ValueError):
 
 
 class NoPositivePartError(FracgroundError, ValueError):
-    """Nehari projection of a field whose positive part vanishes or underflows."""
+    """Fiber scaling (Nehari projection, mountain-pass endpoint) of a field whose
+    positive part vanishes or underflows, or whose fiber scale leaves the float range."""
 
 
 class DivergedError(FracgroundError, RuntimeError):
@@ -46,10 +46,6 @@ class DivergedError(FracgroundError, RuntimeError):
     def __init__(self, message: str, report: SolveReport) -> None:
         super().__init__(message)
         self.report = report
-
-
-class EndpointNotNegativeError(FracgroundError, RuntimeError):
-    """Path endpoint could not be scaled to negative energy within bounds."""
 
 
 class SpectralTailWarning(UserWarning):

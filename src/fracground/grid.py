@@ -241,7 +241,8 @@ def gaussian_field(
         spread = np.inf
     if not (0 < width < np.inf and 0 < spread < np.inf):
         raise ValueError(f"width must be in (0, inf) with 2 width^2 finite and positive, got {width}")
-    values = amplitude * np.exp(-((grid.nodes - center) ** 2) / spread)
+    with np.errstate(over="ignore"):  # a width far below the spacing: exp(-inf) = 0 off the centre
+        values = amplitude * np.exp(-((grid.nodes - center) ** 2) / spread)
     return SpectralField.from_values(grid, values)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DivergedError, EndpointNotNegativeError, NoPositivePartError
+from .errors import DivergedError, NoPositivePartError
 from .grid import Grid1D, SpectralField, field_from_csv, gaussian_field, make_grid, shift_cells
 from .nonlinearity import NonlinearitySpec
 # h_alpha_norm_sq is unused here: it is bound by name so that bench/tracer.py can rebind it
@@ -31,6 +31,7 @@ from .operators import _pairing, h_alpha_norm_sq, validate_order
 from .variational import (
     NehariResult,
     _best_translate,
+    _fiber_scale,
     _segment_bounds,
     _segment_energies,
     _translation_invariant,
@@ -351,19 +352,19 @@ def mountain_pass_path(
 ) -> MountainPassReport:
     """Deform a segment path from 0 to a negative-energy endpoint downhill.
 
-    The endpoint scale starts at 1 and is doubled until the endpoint energy is negative
-    (EndpointNotNegativeError past 1e6).  Each sweep relaxes the interior
-    nodes by preconditioned descent with displacement capped by the distance
-    to the neighbouring nodes, skips nodes already below zero energy (they
-    cannot carry the path maximum, which is positive), and redistributes the
-    nodes by arclength so the crossing region stays resolved.  Endpoints are
-    pinned, so the polyline remains an admissible path throughout, and its
-    maximal energy is an upper bound for the min-max level that decreases
-    with the sweep count; ``sweep_max`` records the highest node energy at
-    the start of each sweep and after the last.  The maximum is located by
-    nested sampling on segments, where the quadratic part is a closed-form
-    quadratic in the segment parameter and the potential at all samples of
-    one level is one evaluation on a stacked array.  Segments are sampled in
+    The endpoint is the seed scaled by the least power of two >= 1 past which
+    E < 0 on its ray, computed from the fiber scale.  Each sweep relaxes the
+    interior nodes by preconditioned descent with displacement capped by the
+    distance to the neighbouring nodes, skips nodes already below zero energy
+    (they cannot carry the path maximum, which is positive), and
+    redistributes the nodes by arclength so the crossing region stays
+    resolved.  Endpoints are pinned, so the polyline remains an admissible
+    path throughout, and its maximal energy is an upper bound for the min-max
+    level that decreases with the sweep count; ``sweep_max`` records the
+    highest node energy at the start of each sweep and after the last.  The
+    maximum on a segment is located by nine nested levels of 17 samples (to
+    16^-9 in its parameter, where E is closed-form quadratic minus one stacked
+    potential evaluation per level).  Segments are sampled in
     order of a falling upper bound of E on them
     (``variational._segment_bounds``), and the search stops at the first
     bound below the best sampled energy less a 1e-12 relative margin: no
@@ -378,8 +379,11 @@ def mountain_pass_path(
         raise ValueError(f"sweep count must be >= 0, got {n_deform}")
     spec, alpha = config.nonlinearity(), config.alpha
     u_init = config.init.build(config.grid())
-    if float(np.max(u_init.values)) <= 0.0:
-        raise NoPositivePartError("path seed has no positive part")
+    sigma, _ = _fiber_scale(u_init, spec, alpha)
+    # E(s u) < 0 exactly for s > s0 = sigma ((p + 1) / 2)^(1/(p-1)), and s0 < 2^exponent
+    _, exponent = np.frexp(sigma * (0.5 * (spec.p + 1.0)) ** (1.0 / (spec.p - 1.0)))
+    scale = 2.0 ** max(0, int(exponent))
+    endpoint = scale * u_init
 
     def node_energy(u: SpectralField) -> float:
         return energy(u, spec, alpha).total
@@ -387,13 +391,6 @@ def mountain_pass_path(
     def distance(a: SpectralField, b: SpectralField) -> float:
         diff = b.spectrum - a.spectrum
         return float(np.sqrt(_pairing(a.grid, diff, diff, alpha)))
-
-    scale = 1.0
-    while node_energy(scale * u_init) >= 0.0:
-        scale *= 2.0
-        if scale > 1e6:
-            raise EndpointNotNegativeError("endpoint scale exceeded 1e6 without negative energy")
-    endpoint = scale * u_init
 
     path = [lam * endpoint for lam in np.linspace(0.0, 1.0, n_nodes)]
     initial_energies = [node_energy(u) for u in path]
@@ -447,7 +444,7 @@ def mountain_pass_path(
         energies = [node_energy(u) for u in path]
         sweep_max.append(max(energies))
 
-    def segment_max(a: SpectralField, b: SpectralField, n_sub: int = 17, depth: int = 4) -> float:
+    def segment_max(a: SpectralField, b: SpectralField, n_sub: int = 17, depth: int = 9) -> float:
         lo, hi = 0.0, 1.0
         best = -np.inf
         for _ in range(depth):

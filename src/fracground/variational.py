@@ -167,9 +167,12 @@ def fiber_map(u: SpectralField, spec: NonlinearitySpec, alpha: float, sigma_grid
         raise ValueError("fiber map requires a nonzero field")
     norm_sq = h_alpha_norm_sq(u, alpha)
     potential = u.grid.spacing * float(np.sum(eval_F(spec, u.grid, u.values)))
-    values = 0.5 * sigmas * sigmas * norm_sq - sigmas ** (spec.p + 1.0) * potential
-    slopes = np.diff(values)
-    signs = np.sign(slopes[slopes != 0.0])
+    with np.errstate(over="ignore"):  # at large p sigma^(p+1) = inf, so psi = -inf
+        growth = sigmas ** (spec.p + 1.0)
+    values = 0.5 * sigmas * sigmas * norm_sq - growth * potential
+    with np.errstate(invalid="ignore"):  # -inf - (-inf): a NaN slope, not counted
+        slopes = np.diff(values)
+    signs = np.sign(slopes[(slopes != 0.0) & ~np.isnan(slopes)])
     changes = int(np.count_nonzero(np.diff(signs) != 0))
     return FiberScan(sigmas, values, changes)
 
@@ -182,35 +185,41 @@ class NehariResult:
     energy: float
 
 
-def nehari_project(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> NehariResult:
-    """Scale a field onto the stationarity manifold along its ray.
+def _fiber_scale(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> tuple[float, float]:
+    """The fiber root sigma of u and the potential h sum F(t, sigma u) there.
 
-    f(t, .) is homogeneous of degree p, so the fiber equation
-    ||u||_alpha^2 = integral f(t, sigma u) u / sigma has the closed-form root
-    sigma = (||u||_alpha^2 / integral f(t, u) u)^(1/(p-1)); a non-homogeneous
-    family would need a root-finder again.  As f(t, xi) xi = (p+1) F(t, xi),
-    sigma takes one power pass on u / max(u), where u_+^(p+1) neither
-    overflows nor underflows, and the residual reads the projected energy's
-    potential.  A sigma that is not finite and positive (||u||_alpha^2 or the
-    potential pairing underflowed) raises NoPositivePartError.
+    f(t, .) is homogeneous of degree p, so ||u||_alpha^2 = integral f(t, sigma u) u / sigma
+    has the root sigma = (||u||_alpha^2 / integral f(t, u) u)^(1/(p-1)).  As
+    f(t, xi) xi = (p+1) F(t, xi), one power pass on u / max(u), where u_+^(p+1)
+    neither overflows nor underflows, gives sigma, and the potential is that pass
+    times (sigma max(u))^(p+1).  A sigma that is not finite and positive, or a
+    potential that overflows (p within about 5e-4 of 1), raises NoPositivePartError.
     """
-    alpha = validate_order(alpha, within="variational")
     peak = float(np.max(u.values))
     if peak <= 0.0:
         raise NoPositivePartError("field has no positive part; no fiber maximizer exists")
     grid, power = u.grid, spec.p + 1.0
-    unit_norm_sq = h_alpha_norm_sq(u, alpha) / peak / peak
+    unit_norm_sq = np.float64(h_alpha_norm_sq(u, alpha) / peak / peak)
     unit_pairing = power * grid.spacing * float(np.sum(eval_F(spec, grid, u.values / peak)))
-    # the pairing is 0 once every u_+^(p+1) / max^(p+1) is flushed, as at p >~ 1e20
-    ratio = unit_norm_sq / unit_pairing if unit_pairing > 0.0 else np.inf
-    sigma = ratio ** (1.0 / (spec.p - 1.0)) / peak
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise NoPositivePartError(f"fiber scale {sigma!r} is not finite and positive")
+    # inf or NaN once the norm or the pairing is flushed (as at p >~ 1e20) or a power overflows
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sigma = float((unit_norm_sq / unit_pairing) ** (1.0 / (spec.p - 1.0)) / peak)
+        potential = float(np.float64(sigma * peak) ** power * unit_pairing / power)
+    if not (0.0 < sigma < np.inf and potential < np.inf):
+        raise NoPositivePartError(f"fiber scale {sigma!r} or its potential is not finite and positive")
+    return sigma, potential
+
+
+def nehari_project(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> NehariResult:
+    """Scale a field onto the stationarity manifold along its ray, in closed form: one ``eval_F`` pass."""
+    alpha = validate_order(alpha, within="variational")
+    sigma, potential = _fiber_scale(u, spec, alpha)
     projected = sigma * u
-    breakdown = energy(projected, spec, alpha)
-    # <grad E(w), w> / ||w||_alpha^2 at w = sigma u, with the norm of w itself
-    residual = 1.0 - power * breakdown.potential / (2.0 * breakdown.quadratic)
-    return NehariResult(sigma, projected, residual, breakdown.total)
+    # the norm of w = sigma u itself, not sigma^2 ||u||_alpha^2, so that the residual
+    # <grad E(w), w> / ||w||_alpha^2 shows where a subnormal ||u||_alpha^2 made sigma miss
+    quadratic = 0.5 * h_alpha_norm_sq(projected, alpha)
+    residual = 1.0 - (spec.p + 1.0) * potential / (2.0 * quadratic)
+    return NehariResult(sigma, projected, residual, quadratic - potential)
 
 
 def _translation_invariant(spec: NonlinearitySpec, grid: Grid1D) -> bool:

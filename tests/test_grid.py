@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,15 @@ class TestFieldAlgebra:
     def test_inner_product(self, small_grid):
         u = gaussian_field(small_grid, width=1.0)
         assert abs(inner(u, u) - lp_norm(u, 2) ** 2) < 1e-14
+
+    def test_gaussian_below_the_spacing_is_one_node(self, small_grid):
+        # (t - c)^2 / (2 width^2) overflows off the centre node, where exp(-inf) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = gaussian_field(small_grid, width=1e-160, amplitude=3.0)
+        centre = small_grid.nodes == 0.0
+        assert np.count_nonzero(centre) == 1
+        assert np.all(u.values[centre] == 3.0) and np.all(u.values[~centre] == 0.0)
 
 
 class TestTranslate:

@@ -3,7 +3,6 @@ import pytest
 
 from fracground import (
     DivergedError,
-    EndpointNotNegativeError,
     InitSpec,
     NoPositivePartError,
     NonlinearitySpec,
@@ -20,7 +19,7 @@ from fracground import (
 )
 from fracground import solver as solver_module
 from fracground.grid import field_to_csv
-from fracground.variational import _best_translate, gradient
+from fracground.variational import _best_translate, energy, gradient
 
 
 def autonomous_config(**kwargs):
@@ -376,12 +375,29 @@ class TestMountainPass:
         assert pruned.path_max_energy == every.path_max_energy
         assert origin_first.path_max_energy == every.path_max_energy
 
-    def test_endpoint_not_negative_error(self):
-        grid_cfg = autonomous_config(
-            half_width=32.0, n_points=1024, init=InitSpec(amplitude=1e-12, width=0.5)
+    @pytest.mark.parametrize("amplitude", [1e-12, 0.05, 1.0, 50.0])
+    def test_endpoint_is_the_least_power_of_two_past_zero(self, amplitude):
+        # computed from the ray's closed form, with no cap: 1e-12 needs 2^42
+        config = autonomous_config(
+            half_width=32.0, n_points=1024, init=InitSpec(amplitude=amplitude, width=0.5)
         )
-        with pytest.raises(EndpointNotNegativeError):
-            mountain_pass_path(grid_cfg, n_deform=0)
+        scale = mountain_pass_path(config, n_nodes=5, n_deform=0).endpoint_scale
+        assert scale >= 1.0 and np.frexp(scale)[0] == 0.5
+        u, spec = config.init.build(config.grid()), config.nonlinearity()
+        assert energy(scale * u, spec, config.alpha).total < 0.0
+        if scale > 1.0:
+            assert energy(0.5 * scale * u, spec, config.alpha).total >= 0.0
+
+    @pytest.mark.parametrize("alpha, autonomous", [(0.6, True), (0.75, False), (0.9, True)])
+    def test_path_max_resolves_the_level(self, alpha, autonomous):
+        # the min-max level equals the Nehari level, so a resolved segment
+        # maximum reaches it to rounding once the path has settled
+        config = SolveConfig(
+            half_width=32.0, n_points=1024, alpha=alpha, autonomous=autonomous, residual_tol=5e-8
+        )
+        level = solve_ground_state(config).level
+        report = mountain_pass_path(config, n_nodes=17, n_deform=80)
+        assert abs(report.path_max_energy - level) <= 1e-12 * level
 
 
 class TestAutonomy:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from fracground import (
     solve_ground_state,
     SolveConfig,
 )
+from fracground import variational
 from fracground.checks import random_band_limited_field
 from fracground.operators import _even_symbols, apply_multiplier
 from fracground.variational import _segment_bounds, _segment_energies
@@ -167,6 +170,17 @@ class TestFiberMap:
         assert scan.values[-1] < 0
         assert scan.derivative_sign_changes == 1
 
+    @pytest.mark.parametrize("p", [400.0, 1000.0])
+    def test_overflowing_power_is_minus_infinity(self, default_grid, p):
+        # sigma^(p+1) overflows at the large end of the CLI's sigma range
+        spec, sigmas = NonlinearitySpec(p=p), np.geomspace(0.01, 10.0, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = fiber_map(gaussian_field(default_grid), spec, 0.75, sigmas)
+        assert not np.any(np.isnan(scan.values))
+        assert scan.values[-1] == -np.inf
+        assert scan.derivative_sign_changes == 1
+
     def test_rejects_zero_field_and_bad_grid(self, default_grid):
         with pytest.raises(ValueError, match="nonzero"):
             fiber_map(zero_field(default_grid), SPEC, 0.75, [1.0])
@@ -186,6 +200,23 @@ class TestNehariProjection:
             quartic = default_grid.spacing * np.sum(np.maximum(u.values, 0.0) ** 4)
             closed_form = (norm_sq / quartic) ** 0.5
             assert abs(result.sigma - closed_form) <= 1e-10 * closed_form
+
+    def test_one_potential_pass(self, default_grid, monkeypatch):
+        calls, original = [], variational.eval_F
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(variational, "eval_F", counted)
+        nehari_project(gaussian_field(default_grid), SPEC, 0.75)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale", [2e-4, 1.0, 500.0, 1e120])
+    def test_energy_is_the_projected_energy(self, default_grid, scale):
+        result = nehari_project(scale * gaussian_field(default_grid), SPEC, 0.75)
+        total = energy(result.projected, SPEC, 0.75).total
+        assert abs(result.energy - total) <= 1e-14 * abs(total)
 
     def test_fixed_point_on_manifold(self, default_grid, rng):
         u = positive_random_field(default_grid, rng)
