@@ -118,21 +118,21 @@ class SpectralField:
             raise ValueError(
                 f"values must have shape ({grid.n_points},), got {values.shape}"
             )
-        # checked here, not at the first read: the transform warns on non-finite input
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        values.flags.writeable = False
-        return cls(grid, values)
+        return cls._join(grid, values)
 
     @classmethod
-    def _join(cls, grid: Grid1D, values: np.ndarray, spectrum: np.ndarray) -> "SpectralField":
-        """Freeze freshly made values and their spectrum into a field."""
-        if not np.all(np.isfinite(values)):
+    def _join(
+        cls, grid: Grid1D, values: np.ndarray, spectrum: np.ndarray | None = None
+    ) -> "SpectralField":
+        """Freeze freshly made values, and their spectrum if given, into a field."""
+        # checked here, not at the first read: the transform warns on non-finite input
+        if not np.isfinite(values).all():
             raise ValueError("field values must be finite")
         values.flags.writeable = False
-        spectrum.flags.writeable = False
         fld = cls(grid, values)
-        fld.__dict__["spectrum"] = spectrum  # fills the cached property
+        if spectrum is not None:
+            spectrum.flags.writeable = False
+            fld.__dict__["spectrum"] = spectrum  # fills the cached property
         return fld
 
     @classmethod
@@ -185,7 +185,7 @@ def values_from_spectrum(grid: Grid1D, spectrum: np.ndarray) -> tuple[np.ndarray
     m = grid.nyquist_index
     if spectrum.shape != (m + 1,):
         raise ValueError(f"spectrum must have shape ({m + 1},), got {spectrum.shape}")
-    if not np.all(np.isfinite(spectrum)):
+    if not np.isfinite(spectrum).all():
         raise ValueError("spectrum entries must be finite")
     n, h = grid.n_points, grid.spacing
     imag_l2 = float(np.hypot(spectrum[0].imag, spectrum[m].imag) / np.sqrt(n * h))

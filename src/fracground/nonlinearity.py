@@ -17,9 +17,12 @@ be built and shown to fail.
 The powers max(xi, 0)^e are flushed to an exact 0 wherever they would fall
 below the smallest normal float (xi <= tiny^(1/e)): libm's pow takes a slow
 path on every subnormal or underflowing result, and the Gaussian tails of a
-field sit in that range.  NaN still propagates.  Evaluated on a ``Grid1D``
-instead of an array of t, the coefficient 1 + a(t) on the nodes is computed
-once per (perturbation, grid) and cached read-only.
+field sit in that range.  NaN still propagates.  The integer exponents 2, 3
+and 4 (f and F at the default p = 3 take 3 and 4) are computed as products
+of the flushed base, within 0, 1 and 2 ulp of pow; every other exponent
+takes the masked pow.  Evaluated on a ``Grid1D`` instead of an array of t,
+the coefficient 1 + a(t) on the nodes is computed once per (perturbation,
+grid) and cached read-only.
 """
 
 from __future__ import annotations
@@ -108,10 +111,21 @@ def _power_plus(xi: ArrayLike, e: float) -> np.ndarray:
     """max(xi, 0)^e, an exact 0 where the result would not be a normal float.
 
     The mask is a negation so that NaN, which fails every comparison, is
-    still raised to the power and propagates.
+    still raised to the power and propagates.  At e = 2, 3 and 4 the flushed
+    entries are zeroed and the power is one or two products, within 0, 1
+    and 2 ulp of pow.
     """
     xi = np.asarray(xi, dtype=float)
-    return np.power(xi, e, out=np.zeros_like(xi), where=~(xi <= _TINY ** (1.0 / e)))
+    flushed = xi <= _TINY ** (1.0 / e)
+    if e in (2.0, 3.0, 4.0):
+        base = np.where(flushed, 0.0, xi)
+        power = base * base
+        if e == 3.0:
+            power *= base
+        elif e == 4.0:
+            power *= power
+        return power
+    return np.power(xi, e, out=np.zeros_like(xi), where=~flushed)
 
 
 def _coefficient(spec: NonlinearitySpec, t: Union[Grid1D, ArrayLike]) -> np.ndarray:

@@ -159,15 +159,17 @@ def _check_tail(u: SpectralField) -> None:
 def apply_multiplier(u: SpectralField, symbol: np.ndarray) -> SpectralField:
     """Apply a diagonal Fourier multiplier, keeping ``symbol * u.spectrum`` as the spectrum.
 
-    The asserted bound on the discarded imaginary residue bounds its gap to the values.
+    The asserted bound on the discarded imaginary residue bounds its gap to the
+    values; ||u|| is read only when the residue is not 0, as 0 passes at any scale.
     """
     out_spectrum = symbol * u.spectrum
     values, imag_l2 = values_from_spectrum(u.grid, out_spectrum)
-    scale = lp_norm(u, 2)
-    if imag_l2 > IMAG_RESIDUE_LIMIT * max(scale, 1e-300):
-        raise AssertionError(
-            f"imaginary residue {imag_l2:.3e} exceeds {IMAG_RESIDUE_LIMIT:.0e} * ||u|| ({scale:.3e})"
-        )
+    if imag_l2 > 0.0:
+        scale = lp_norm(u, 2)
+        if imag_l2 > IMAG_RESIDUE_LIMIT * max(scale, 1e-300):
+            raise AssertionError(
+                f"imaginary residue {imag_l2:.3e} exceeds {IMAG_RESIDUE_LIMIT:.0e} * ||u|| ({scale:.3e})"
+            )
     return SpectralField._join(u.grid, values, out_spectrum)
 
 

@@ -32,6 +32,7 @@ from .variational import (
     NehariResult,
     _best_translate,
     _fiber_scale,
+    _potential,
     _segment_bounds,
     _segment_energies,
     _translation_invariant,
@@ -345,6 +346,11 @@ class MountainPassReport:
     sweeps: int
     sweep_max: list[float]
     segments_searched: int
+    relax_give_ups: list[int]
+
+
+#: halvings after which a relax line search gives up and leaves its node as it is
+_RELAX_HALVINGS = 25
 
 
 def mountain_pass_path(
@@ -361,10 +367,28 @@ def mountain_pass_path(
     resolved.  Endpoints are pinned, so the polyline remains an admissible
     path throughout, and its maximal energy is an upper bound for the min-max
     level that decreases with the sweep count; ``sweep_max`` records the
-    highest node energy at the start of each sweep and after the last.  The
-    maximum on a segment is located by nine nested levels of 17 samples (to
-    16^-9 in its parameter, where E is closed-form quadratic minus one stacked
-    potential evaluation per level).  Segments are sampled in
+    highest node energy at the start of each sweep and after the last, and
+    ``relax_give_ups`` the line searches of each sweep that found no lower
+    energy in 25 halvings.
+
+    Each node carries N(u) = ||u||_alpha^2 and P(u) = h sum F(t, u), with
+    E(u) = N(u) / 2 - P(u); only the seed's nodes are evaluated by ``energy``.
+    Three identities give the rest without norms of new fields:
+    - along a relax step, N(u - s g) = N(u) - 2 s <u, g>_alpha + s^2 ||g||_alpha^2,
+      where ||g||_alpha is the gradient's residual norm;
+    - <u, g>_alpha = N(u) - (p + 1) P(u), since g = u - K^-1 f(u), the pairing
+      of u with K^-1 f(u) is the L2 pairing of u with f(u) (discrete
+      Parseval), and f(t, xi) xi = (p + 1) F(t, xi);
+    - a node resampled at (1 - lam) a + lam b has
+      N = (1 - lam) N(a) + lam N(b) - lam (1 - lam) ||b - a||_alpha^2, with
+      ||b - a||_alpha the segment's arclength.
+    So a trial step or a resampled node costs one potential (``_potential``,
+    one dot) on its values, and only an accepted step or a resampled node is
+    made into a field, once, with its spectrum combined linearly.
+
+    The maximum on a segment is located by nine nested levels of 17 samples
+    (to 16^-9 in its parameter, where E is closed-form quadratic minus one
+    stacked potential evaluation per level).  Segments are sampled in
     order of a falling upper bound of E on them
     (``variational._segment_bounds``), and the search stops at the first
     bound below the best sampled energy less a 1e-12 relative margin: no
@@ -378,70 +402,84 @@ def mountain_pass_path(
     if n_deform < 0:
         raise ValueError(f"sweep count must be >= 0, got {n_deform}")
     spec, alpha = config.nonlinearity(), config.alpha
-    u_init = config.init.build(config.grid())
+    grid = config.grid()
+    u_init = config.init.build(grid)
     sigma, _ = _fiber_scale(u_init, spec, alpha)
     # E(s u) < 0 exactly for s > s0 = sigma ((p + 1) / 2)^(1/(p-1)), and s0 < 2^exponent
     _, exponent = np.frexp(sigma * (0.5 * (spec.p + 1.0)) ** (1.0 / (spec.p - 1.0)))
     scale = 2.0 ** max(0, int(exponent))
     endpoint = scale * u_init
 
-    def node_energy(u: SpectralField) -> float:
-        return energy(u, spec, alpha).total
-
-    def distance(a: SpectralField, b: SpectralField) -> float:
+    def distance_sq(a: SpectralField, b: SpectralField) -> float:
         diff = b.spectrum - a.spectrum
-        return float(np.sqrt(_pairing(a.grid, diff, diff, alpha)))
+        return _pairing(grid, diff, diff, alpha)
 
     path = [lam * endpoint for lam in np.linspace(0.0, 1.0, n_nodes)]
-    initial_energies = [node_energy(u) for u in path]
+    parts = [energy(u, spec, alpha) for u in path]
+    norms = [2.0 * part.quadratic for part in parts]
+    potentials = [part.potential for part in parts]
+    initial_energies = [part.total for part in parts]
 
-    def relax(i: int, energies: list[float]) -> None:
+    def relax(i: int, energies: list[float]) -> int:
+        """One line search on node i; 1 if it gave up, else 0."""
         grad = gradient(path[i], spec, alpha)
         g, g_norm = grad.precond_gradient, grad.residual_norm
         if g_norm == 0.0:
-            return
-        d_prev = distance(path[i - 1], path[i])
-        d_next = distance(path[i], path[i + 1])
-        step = min(0.3, 0.5 * min(d_prev, d_next) / g_norm)
-        for _ in range(25):
-            candidate = path[i] - step * g
-            e_cand = node_energy(candidate)
-            if e_cand < energies[i]:
-                path[i] = candidate
-                energies[i] = e_cand
-                return
+            return 0
+        gap = float(np.sqrt(min(distance_sq(path[i - 1], path[i]), distance_sq(path[i], path[i + 1]))))
+        step = min(0.3, 0.5 * gap / g_norm)
+        u, norm = path[i], norms[i]
+        cross = norm - (spec.p + 1.0) * potentials[i]
+        for _ in range(_RELAX_HALVINGS):
+            values = u.values - step * g.values
+            potential = _potential(spec, grid, values)
+            trial_norm = norm - 2.0 * step * cross + step * step * g_norm * g_norm
+            e_trial = 0.5 * trial_norm - potential
+            if e_trial < energies[i]:
+                path[i] = SpectralField._join(grid, values, u.spectrum - step * g.spectrum)
+                norms[i], potentials[i], energies[i] = trial_norm, potential, e_trial
+                return 0
             step *= 0.5
+        return 1
 
     def reparametrize() -> None:
-        lengths = [distance(path[i], path[i + 1]) for i in range(len(path) - 1)]
-        cum = np.concatenate([[0.0], np.cumsum(lengths)])
+        chords = [distance_sq(path[i], path[i + 1]) for i in range(len(path) - 1)]
+        cum = np.concatenate([[0.0], np.cumsum(np.sqrt(chords))])
         if cum[-1] == 0.0:
             return
         targets = np.linspace(0.0, cum[-1], len(path))
-        resampled = [path[0]]
+        nodes, node_norms = list(path), list(norms)
         seg = 0
-        for s in targets[1:-1]:
+        for i, s in enumerate(targets[1:-1], start=1):
             while cum[seg + 1] < s:
                 seg += 1
             width = cum[seg + 1] - cum[seg]
-            lam = (s - cum[seg]) / width if width > 0 else 0.0
-            resampled.append((1.0 - lam) * path[seg] + lam * path[seg + 1])
-        resampled.append(path[-1])
-        path[:] = resampled
+            lam = float((s - cum[seg]) / width) if width > 0 else 0.0
+            a, b = nodes[seg], nodes[seg + 1]
+            values = (1.0 - lam) * a.values + lam * b.values
+            path[i] = SpectralField._join(grid, values, (1.0 - lam) * a.spectrum + lam * b.spectrum)
+            norms[i] = (
+                (1.0 - lam) * node_norms[seg] + lam * node_norms[seg + 1]
+                - lam * (1.0 - lam) * chords[seg]
+            )
+            potentials[i] = _potential(spec, grid, values)
 
     energies = list(initial_energies)
     sweep_max = [max(energies)]
+    give_ups = []
     for _ in range(n_deform):
+        gave_up = 0
         top = int(np.argmax(energies))
         if 0 < top < n_nodes - 1:
             for _ in range(3):
-                relax(top, energies)
+                gave_up += relax(top, energies)
         for i in range(1, n_nodes - 1):
             if energies[i] <= 0.0:
                 continue
-            relax(i, energies)
+            gave_up += relax(i, energies)
+        give_ups.append(gave_up)
         reparametrize()
-        energies = [node_energy(u) for u in path]
+        energies = [0.5 * norm - potential for norm, potential in zip(norms, potentials)]
         sweep_max.append(max(energies))
 
     def segment_max(a: SpectralField, b: SpectralField, n_sub: int = 17, depth: int = 9) -> float:
@@ -471,6 +509,7 @@ def mountain_pass_path(
         sweeps=n_deform,
         sweep_max=sweep_max,
         segments_searched=searched,
+        relax_give_ups=give_ups,
     )
 
 

@@ -82,10 +82,20 @@ def gradient(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> Gradient
     """
     alpha = validate_order(alpha, within="variational")
     grid = u.grid
-    f_field = SpectralField.from_values(grid, eval_f(spec, grid, u.values))
+    # eval_f's array is fresh, so it is frozen as it is, not copied
+    f_field = SpectralField._join(grid, eval_f(spec, grid, u.values))
     precond = u - apply_multiplier(f_field, multiplier_symbol(grid, alpha, "resolvent"))
     res_norm = float(np.sqrt(h_alpha_norm_sq(precond, alpha)))
     return GradientResult(precond, res_norm, alpha)
+
+
+def _potential(spec: NonlinearitySpec, grid: Grid1D, values: np.ndarray) -> float:
+    """P(u) = h sum F(t, u) = h/(p+1) ((1 + a) . u_+^(p+1)): one dot with the cached coefficient.
+
+    ``energy`` reads the same sum through ``eval_F`` and ``np.sum``; the two agree to rounding.
+    """
+    power = spec.p + 1.0
+    return grid.spacing / power * float(_coefficient(spec, grid) @ _power_plus(values, power))
 
 
 def _segment_quadratic(lam, norm_a, cross, norm_b):
@@ -239,12 +249,13 @@ def _best_translate(u: SpectralField, spec: NonlinearitySpec) -> tuple[SpectralF
     """Translate u to the shift s that minimizes its projected energy; return (field, s).
 
     A spectral shift leaves ||u||_alpha unchanged, so by homogeneity the
-    projected energy falls as J(s) = h sum (1 + a(t)) u_+(t - s)^(p+1) rises.
-    Over whole cells J is one circular correlation, searched globally; the
-    best cell is refined by successive parabolic interpolation through
-    ``translate``, and the first evaluation that does not raise J strictly
-    marks its rounding floor and ends the search.  With a = 0 the field is
-    returned as it is: J is then flat, and a search would move u by rounding.
+    projected energy falls as the potential J(s) = h sum F(t, u(t - s)) rises,
+    taken of u / max(u).  Over whole cells J is one circular correlation,
+    searched globally; the best cell is refined by successive parabolic
+    interpolation through ``translate`` and ``_potential``, and the first
+    evaluation that does not raise J strictly marks its rounding floor and
+    ends the search.  With a = 0 the field is returned as it is: J is then
+    flat, and a search would move u by rounding.
     """
     grid = u.grid
     h, n = grid.spacing, grid.n_points
@@ -252,12 +263,8 @@ def _best_translate(u: SpectralField, spec: NonlinearitySpec) -> tuple[SpectralF
         return u, 0.0
     coeff = _coefficient(spec, grid)
     peak, power = float(np.max(u.values)), spec.p + 1.0
-
-    def integral(fld: SpectralField) -> float:
-        return h * float(np.sum(coeff * _power_plus(fld.values / peak, power)))
-
     unit_power = _power_plus(u.values / peak, power)
-    cells = h * np.fft.irfft(np.fft.rfft(coeff) * np.conj(np.fft.rfft(unit_power)), n)
+    cells = h / power * np.fft.irfft(np.fft.rfft(coeff) * np.conj(np.fft.rfft(unit_power)), n)
     k = int(np.argmax(cells))
     k = k - n if k >= n // 2 else k
     xs = [(k - 1) * h, k * h, (k + 1) * h]
@@ -272,7 +279,7 @@ def _best_translate(u: SpectralField, spec: NonlinearitySpec) -> tuple[SpectralF
         if not a < x < c:
             break
         moved = translate(u, x)
-        jx = integral(moved)
+        jx = _potential(spec, grid, moved.values / peak)
         if jx <= jb:
             break
         best = moved

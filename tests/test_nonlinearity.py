@@ -111,16 +111,25 @@ class TestPowerFlush:
         spec = NonlinearitySpec()
         if which == "tails":
             t, xi = default_grid, 1e-90 * gaussian_field(default_grid).values
-            plain = unflushed_f(spec, default_grid.nodes, xi)
+            nodes = default_grid.nodes
         else:
             t, xi = np.linspace(-2.0, 2.0, self.MIXED.size), self.MIXED
-            with np.errstate(invalid="ignore"):
-                plain = unflushed_f(spec, t, xi)
+            nodes = t
+        # p = 3: f and F take the integer exponents 3 and 4, which are products
+        xi_plus = np.maximum(xi, 0.0)
+        coeff = 1.0 + spec.perturbation.weight(nodes)
+        square = xi_plus * xi_plus
+        plain = (coeff * (square * xi_plus), coeff * (square * square) / (spec.p + 1.0))
         for out, ref in zip((eval_f(spec, t, xi), eval_F(spec, t, xi)), plain):
             assert np.all(np.isnan(out) | (out == 0.0) | (out >= TINY))
             normal = ~(ref < TINY)
             assert np.array_equal(out[normal], ref[normal], equal_nan=True)
             assert np.array_equal(np.isnan(out), np.isnan(xi))
+        # and the powers themselves stay within 1 and 2 ulp of ``**``
+        for e, ulps in ((spec.p, 1), (spec.p + 1.0, 2)):
+            out, ref = nl._power_plus(xi, e), xi_plus ** e
+            normal = (ref >= TINY) & (ref < np.inf)
+            assert np.all(np.abs(out[normal] - ref[normal]) <= ulps * np.spacing(ref[normal]))
 
     def test_grid_coefficient_is_cached_and_read_only(self, default_grid):
         spec = NonlinearitySpec()
@@ -137,6 +146,34 @@ class TestPowerFlush:
         quad = 0.5 * h_alpha_norm_sq(u, alpha)
         pot = float(default_grid.spacing * np.sum(F_vals))
         assert energy(u, spec, alpha).total == quad - pot
+
+
+class TestIntegerPowers:
+    """_power_plus at e = 2, 3, 4 is products of the flushed base, against the masked pow."""
+
+    @staticmethod
+    def masked_pow(xi, e):
+        return np.power(xi, e, out=np.zeros_like(xi), where=~(xi <= TINY ** (1.0 / e)))
+
+    @pytest.mark.parametrize("e, ulps", [(2.0, 0), (3.0, 1), (4.0, 2)])
+    def test_within_ulps_of_pow(self, e, ulps):
+        rng = np.random.default_rng(7)
+        sweep = np.geomspace(1e-70, 1e70, 200_001) * (1.0 + 1e-3 * rng.random(200_001))
+        edge = TINY ** (1.0 / e)
+        steps = np.arange(-3, 4)
+        boundary = np.concatenate(
+            [edge + steps * np.spacing(edge), edge * (1.0 + 1e-12 * steps), [np.nextafter(edge, 1.0)]]
+        )
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0, -1e-300, -1e70, TINY, 1.0])
+        xi = np.concatenate([sweep, -sweep[::997], boundary, special])
+        out, ref = nl._power_plus(xi, e), self.masked_pow(xi, e)
+        assert np.array_equal(np.isnan(out), np.isnan(ref))
+        assert np.array_equal(out == 0.0, ref == 0.0)
+        assert not np.any(np.signbit(out[out == 0.0]))
+        assert np.array_equal(np.isinf(out), np.isinf(ref))
+        finite = np.isfinite(ref) & (ref != 0.0)
+        assert np.all(np.abs(out[finite] - ref[finite]) <= ulps * np.spacing(ref[finite]))
+        assert np.all(np.isnan(out) | (out == 0.0) | (out >= TINY))
 
 
 class TestHypothesisValidation:

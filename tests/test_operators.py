@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from fracground.operators import (
     fftconvolve,
     gl_weights,
 )
+from fracground.grid import values_from_spectrum
 
 
 def rel_l2(a, b):
@@ -104,6 +106,20 @@ class TestSymbols:
         u = gaussian_field(small_grid, width=1.0)
         with pytest.raises(AssertionError, match="imaginary residue"):
             apply_multiplier(u, 1j * np.ones(small_grid.nyquist_index + 1))
+
+    @pytest.mark.parametrize("mode", ["zero", "nyquist"])
+    def test_imaginary_symbol_at_a_self_mirrored_mode_raises(self, small_grid, mode):
+        # ||u|| is read only once the residue is not 0; the message is unchanged
+        n = small_grid.n_points
+        wave = 0.01 * (-1.0) ** np.arange(n)
+        u = SpectralField.from_values(small_grid, gaussian_field(small_grid, width=1.0).values + wave)
+        symbol = np.ones(small_grid.nyquist_index + 1, dtype=np.complex128)
+        symbol[0 if mode == "zero" else -1] = 1.0 + 1.0j
+        _, residue = values_from_spectrum(small_grid, symbol * u.spectrum)
+        assert residue > 0.0
+        text = f"imaginary residue {residue:.3e} exceeds 1e-10 * ||u|| ({lp_norm(u, 2):.3e})"
+        with pytest.raises(AssertionError, match=re.escape(text)):
+            apply_multiplier(u, symbol)
 
     def test_integral_symbol_exponent(self, small_grid):
         sym = multiplier_symbol(small_grid, 0.6, "left_int")

@@ -400,6 +400,45 @@ class TestMountainPass:
         assert abs(report.path_max_energy - level) <= 1e-12 * level
 
 
+    @pytest.mark.parametrize(
+        "alpha, autonomous, parent_max",
+        [(0.6, True, 1.3198431718087158), (0.75, False, 0.9432572814801902), (0.9, True, 1.3454007964578225)],
+        ids=["0.6-autonomous", "0.75-perturbed", "0.9-autonomous"],
+    )
+    def test_path_max_matches_recomputed_energies(self, alpha, autonomous, parent_max):
+        # maxima of the sweep that recomputed every node's energy by ``energy``;
+        # carried norms and potentials must reach the same path to rounding
+        config = SolveConfig(half_width=32.0, n_points=1024, alpha=alpha, autonomous=autonomous)
+        report = mountain_pass_path(config, n_nodes=17, n_deform=30)
+        assert abs(report.path_max_energy - parent_max) <= 1e-12 * parent_max
+
+    def test_relax_give_ups_per_sweep(self):
+        config = SolveConfig(half_width=32.0, n_points=1024, autonomous=True)
+        for n_deform in (0, 4):
+            report = mountain_pass_path(config, n_nodes=9, n_deform=n_deform)
+            assert len(report.relax_give_ups) == report.sweeps == n_deform
+            assert all(isinstance(n, int) and n >= 0 for n in report.relax_give_ups)
+
+    def test_every_relax_gives_up_when_no_step_lowers_the_energy(self, monkeypatch):
+        # a potential of -inf makes every trial energy +inf, which is never lower
+        calls = []
+        real_gradient = solver_module.gradient
+
+        def counted(*args):
+            calls.append(1)
+            return real_gradient(*args)
+
+        monkeypatch.setattr(solver_module, "gradient", counted)
+        monkeypatch.setattr(solver_module, "_potential", lambda *args: -np.inf)
+        config = SolveConfig(half_width=32.0, n_points=1024, autonomous=True)
+        report = mountain_pass_path(config, n_nodes=9, n_deform=3)
+        assert len(report.relax_give_ups) == 3
+        assert all(n > 0 for n in report.relax_give_ups)
+        assert sum(report.relax_give_ups) == len(calls)
+        # after the first sweep every interior node reads +inf and is relaxed, the top one 3 times
+        assert report.relax_give_ups[1:] == [3 + 7, 3 + 7]
+
+
 class TestAutonomy:
     def test_nonlinearity_resolves_the_spec(self):
         spec = NonlinearitySpec(p=2.5, theta=3.5, p0=3.0)
