@@ -19,6 +19,7 @@ normalization that restores compactness in the underlying analysis.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -183,9 +184,11 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     s = 1, halved until the projection lowers the energy strictly.  A step
     below 1e-8 raises DivergedError, which carries the report up to the
     last accepted iterate, so a residual_tol below the floor (about 1e-8 at
-    L = 32, N = 1024) ends there rather than in spent max_iters.  Else the
-    descent stops when the preconditioned residual norm drops below
-    residual_tol or the iteration budget runs out.
+    L = 32, N = 1024) ends there rather than in spent max_iters.  The loop's
+    one state is the accepted projection, and ``iterations`` is
+    len(energy_history) - 1.  One stop test at the head of each iteration
+    ends the run: converged once the residual is at most residual_tol, else
+    unconverged once max_iters steps are accepted.
 
     When 1 + a(t) is not exactly 1 on the grid, the start is first moved to
     its translate of least projected energy (``variational._best_translate``).
@@ -211,65 +214,56 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
             cells = int(round(centre / grid.spacing))
             u0 = shift_cells(u0, -cells)
 
-    proj = nehari_project(u0, spec, alpha)
-    u = proj.projected
-    current_energy = proj.energy
-    nehari_residual = proj.constraint_residual
-    sigma_history = [proj.sigma]
+    accepted = nehari_project(u0, spec, alpha)
+    sigma_history = [accepted.sigma]
+    energy_history = [accepted.energy]
     residual_history: list[float] = []
-    energy_history = [current_energy]
     history = _MixingHistory(grid)
-    iterations = 0
 
     def report(converged: bool) -> SolveReport:
-        diag = vanishing_diagnostic(u, WINDOW_RADIUS)
+        diag = vanishing_diagnostic(accepted.projected, WINDOW_RADIUS)
         return SolveReport(
-            field=u,
-            level=current_energy,
+            field=accepted.projected,
+            level=accepted.energy,
             residual_history=residual_history,
             sigma_history=sigma_history,
             energy_history=energy_history,
-            iterations=iterations,
+            iterations=len(energy_history) - 1,
             converged=converged,
             max_mass=diag.max_mass,
             argmax_y=diag.argmax_y,
             recentred_shift=cells * grid.spacing,
-            nehari_residual=nehari_residual,
+            nehari_residual=accepted.constraint_residual,
         )
 
-    for _ in range(config.max_iters):
+    while True:
+        u, level = accepted.projected, accepted.energy
         grad = gradient(u, spec, alpha)
         residual_history.append(grad.residual_norm)
-        if grad.residual_norm <= config.residual_tol:
-            return report(True)
+        converged = grad.residual_norm <= config.residual_tol
+        if converged or len(energy_history) > config.max_iters:
+            return report(converged)
         history.push(u, grad.precond_gradient)
         mixed = history.mixed()
-        proj = None if mixed is None else _project_or_none(mixed, spec, alpha)
-        if proj is None or not proj.energy < current_energy - _MIX_MARGIN * abs(current_energy):
+        trial = None if mixed is None else _project_or_none(mixed, spec, alpha)
+        if trial is None or not trial.energy < level - _MIX_MARGIN * abs(level):
             history.clear()
             step = 1.0
             while True:
-                proj = _project_or_none(u - step * grad.precond_gradient, spec, alpha)
-                if proj is not None and proj.energy < current_energy:
+                trial = _project_or_none(u - step * grad.precond_gradient, spec, alpha)
+                if trial is not None and trial.energy < level:
                     break
                 step *= 0.5
                 if step < _STEP_UNDERFLOW:
                     raise DivergedError(
                         f"descent step underflowed below {_STEP_UNDERFLOW:.0e} without a "
                         f"strict energy decrease: energy-resolution floor at residual "
-                        f"{grad.residual_norm:.3e}, last accepted energy {current_energy!r}",
+                        f"{grad.residual_norm:.3e}, last accepted energy {level!r}",
                         report(False),
                     )
-        u = proj.projected
-        current_energy = proj.energy
-        nehari_residual = proj.constraint_residual
-        sigma_history.append(proj.sigma)
-        iterations += 1
-        energy_history.append(current_energy)
-
-    # max_iters exhausted; record the final residual for the report
-    residual_history.append(gradient(u, spec, alpha).residual_norm)
-    return report(False)
+        accepted = trial
+        sigma_history.append(accepted.sigma)
+        energy_history.append(accepted.energy)
 
 
 def _project_or_none(trial: SpectralField, spec: NonlinearitySpec, alpha: float) -> NehariResult | None:
@@ -283,35 +277,27 @@ def _project_or_none(trial: SpectralField, spec: NonlinearitySpec, alpha: float)
 class _MixingHistory:
     """The last pushed iterate (u, g) and the last ``_DEPTH`` differences before it.
 
-    Fixed rings of ``_DEPTH`` rows hold the gradient differences dG_j
-    (values) and dU_j - dG_j (values, and spectra as float pairs); a
-    least-squares fit does not depend on the order of its columns.
-    ``clear`` drops the differences but keeps the last iterate.
+    Each difference is a triple: the gradient difference dG_j (values) and
+    dU_j - dG_j (values, and spectrum as float pairs).  The deque drops the
+    oldest once ``_DEPTH`` are held, and the triples are stacked only when
+    ``mixed`` is called.  ``clear`` drops the differences but keeps the last
+    iterate.
     """
 
     def __init__(self, grid: Grid1D) -> None:
         self.grid = grid
-        self.grad_diffs = np.empty((_DEPTH, grid.n_points))
-        self.image_diffs = np.empty((_DEPTH, grid.n_points))
-        self.image_spectrum_diffs = np.empty((_DEPTH, 2 * (grid.nyquist_index + 1)))
-        self.count = 0
-        self.slot = 0
+        self.diffs: deque[tuple[np.ndarray, np.ndarray, np.ndarray]] = deque(maxlen=_DEPTH)
         self.last: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def clear(self) -> None:
-        # rows [:count] are the valid ones, so the ring restarts at row 0
-        self.count = self.slot = 0
+        self.diffs.clear()
 
     def push(self, u: SpectralField, g: SpectralField) -> None:
         """Make (u, g) the last iterate, recording its differences from the one before."""
         image_spectrum = (u.spectrum - g.spectrum).view(np.float64)
         current = (g.values, u.values - g.values, image_spectrum)
         if self.last is not None:
-            rows = (self.grad_diffs, self.image_diffs, self.image_spectrum_diffs)
-            for row, new, old in zip(rows, current, self.last):
-                np.subtract(new, old, out=row[self.slot])
-            self.slot = (self.slot + 1) % _DEPTH
-            self.count = min(self.count + 1, _DEPTH)
+            self.diffs.append(tuple(new - old for new, old in zip(current, self.last)))
         self.last = current
 
     def mixed(self) -> SpectralField | None:
@@ -320,17 +306,16 @@ class _MixingHistory:
         gamma is the least-squares fit of g by the dG_j.  None when there are
         no differences or their Gram system is singular.
         """
-        n = self.count
-        if n == 0:
+        if not self.diffs:
             return None
         grad, image_values, image_spectrum = self.last
-        grad_diffs = self.grad_diffs[:n]
+        grad_diffs, image_diffs, image_spectrum_diffs = (np.array(rows) for rows in zip(*self.diffs))
         try:
             gamma = np.linalg.solve(grad_diffs @ grad_diffs.T, grad_diffs @ grad)
         except np.linalg.LinAlgError:
             return None
-        values = image_values - gamma @ self.image_diffs[:n]
-        spectrum = image_spectrum - gamma @ self.image_spectrum_diffs[:n]
+        values = image_values - gamma @ image_diffs
+        spectrum = image_spectrum - gamma @ image_spectrum_diffs
         return SpectralField._join(self.grid, values, spectrum.view(np.complex128))
 
 
@@ -371,9 +356,10 @@ def mountain_pass_path(
     ``relax_give_ups`` the line searches of each sweep that found no lower
     energy in 25 halvings.
 
-    Each node carries N(u) = ||u||_alpha^2 and P(u) = h sum F(t, u), with
-    E(u) = N(u) / 2 - P(u); only the seed's nodes are evaluated by ``energy``.
-    Three identities give the rest without norms of new fields:
+    Each node carries N(u) = ||u||_alpha^2 and P(u) = h sum F(t, u), and its
+    energy is read as N(u) / 2 - P(u).  By homogeneity the seed node lam e
+    has N = lam^2 N(e) and P = lam^(p+1) P(e), so one ``energy`` call, on the
+    endpoint e, serves the seed.  Three identities give the rest:
     - along a relax step, N(u - s g) = N(u) - 2 s <u, g>_alpha + s^2 ||g||_alpha^2,
       where ||g||_alpha is the gradient's residual norm;
     - <u, g>_alpha = N(u) - (p + 1) P(u), since g = u - K^-1 f(u), the pairing
@@ -387,10 +373,11 @@ def mountain_pass_path(
     made into a field, once, with its spectrum combined linearly.
 
     The maximum on a segment is located by nine nested levels of 17 samples
-    (to 16^-9 in its parameter, where E is closed-form quadratic minus one
-    stacked potential evaluation per level).  Segments are sampled in
-    order of a falling upper bound of E on them
-    (``variational._segment_bounds``), and the search stops at the first
+    (to 16^-9 in its parameter, where E is a closed-form quadratic in the
+    carried norms and <a, b>_alpha minus one stacked potential evaluation per
+    level).  Segments are sampled in order of a falling upper bound of E on
+    them (``variational._segment_bounds``, which reads the carried norms and
+    potentials and returns each <a, b>_alpha), and the search stops at the first
     bound below the best sampled energy less a 1e-12 relative margin: no
     later segment can hold a larger sample, so the maximum is the one over
     all segments.  The path is held as fields, whose arithmetic carries the
@@ -414,13 +401,16 @@ def mountain_pass_path(
         diff = b.spectrum - a.spectrum
         return _pairing(grid, diff, diff, alpha)
 
-    path = [lam * endpoint for lam in np.linspace(0.0, 1.0, n_nodes)]
-    parts = [energy(u, spec, alpha) for u in path]
-    norms = [2.0 * part.quadratic for part in parts]
-    potentials = [part.potential for part in parts]
-    initial_energies = [part.total for part in parts]
+    lams = np.linspace(0.0, 1.0, n_nodes)
+    path = [lam * endpoint for lam in lams]
+    end = energy(endpoint, spec, alpha)
+    norms = (lams ** 2 * (2.0 * end.quadratic)).tolist()
+    potentials = (lams ** (spec.p + 1.0) * end.potential).tolist()
 
-    def relax(i: int, energies: list[float]) -> int:
+    def energies() -> list[float]:
+        return [0.5 * norm - potential for norm, potential in zip(norms, potentials)]
+
+    def relax(i: int) -> int:
         """One line search on node i; 1 if it gave up, else 0."""
         grad = gradient(path[i], spec, alpha)
         g, g_norm = grad.precond_gradient, grad.residual_norm
@@ -429,15 +419,15 @@ def mountain_pass_path(
         gap = float(np.sqrt(min(distance_sq(path[i - 1], path[i]), distance_sq(path[i], path[i + 1]))))
         step = min(0.3, 0.5 * gap / g_norm)
         u, norm = path[i], norms[i]
+        current = 0.5 * norm - potentials[i]
         cross = norm - (spec.p + 1.0) * potentials[i]
         for _ in range(_RELAX_HALVINGS):
             values = u.values - step * g.values
             potential = _potential(spec, grid, values)
             trial_norm = norm - 2.0 * step * cross + step * step * g_norm * g_norm
-            e_trial = 0.5 * trial_norm - potential
-            if e_trial < energies[i]:
+            if 0.5 * trial_norm - potential < current:
                 path[i] = SpectralField._join(grid, values, u.spectrum - step * g.spectrum)
-                norms[i], potentials[i], energies[i] = trial_norm, potential, e_trial
+                norms[i], potentials[i] = trial_norm, potential
                 return 0
             step *= 0.5
         return 1
@@ -464,46 +454,38 @@ def mountain_pass_path(
             )
             potentials[i] = _potential(spec, grid, values)
 
-    energies = list(initial_energies)
-    sweep_max = [max(energies)]
+    initial_energies = energies()
+    sweep_max = [max(initial_energies)]
     give_ups = []
     for _ in range(n_deform):
         gave_up = 0
-        top = int(np.argmax(energies))
+        top = int(np.argmax(energies()))
         if 0 < top < n_nodes - 1:
             for _ in range(3):
-                gave_up += relax(top, energies)
+                gave_up += relax(top)
         for i in range(1, n_nodes - 1):
-            if energies[i] <= 0.0:
-                continue
-            gave_up += relax(i, energies)
+            if 0.5 * norms[i] > potentials[i]:
+                gave_up += relax(i)
         give_ups.append(gave_up)
         reparametrize()
-        energies = [0.5 * norm - potential for norm, potential in zip(norms, potentials)]
-        sweep_max.append(max(energies))
+        sweep_max.append(max(energies()))
 
-    def segment_max(a: SpectralField, b: SpectralField, n_sub: int = 17, depth: int = 9) -> float:
-        lo, hi = 0.0, 1.0
-        best = -np.inf
-        for _ in range(depth):
-            lams = np.linspace(lo, hi, n_sub)
-            vals = _segment_energies(a, b, spec, alpha, lams)
-            j = int(np.argmax(vals))
-            best = max(best, vals[j])
-            span = (hi - lo) / (n_sub - 1)
-            lo, hi = max(0.0, lams[j] - span), min(1.0, lams[j] + span)
-        return best
-
-    bounds = _segment_bounds(path, spec, alpha)
+    bounds, crosses = _segment_bounds(path, norms, potentials, spec, alpha)
     path_max, searched = -np.inf, 0
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] < path_max - _BOUND_MARGIN * abs(path_max):
             break
-        path_max = max(path_max, segment_max(path[i], path[i + 1]))
+        lo, hi, pairings = 0.0, 1.0, (norms[i], crosses[i], norms[i + 1])
+        for _ in range(9):
+            samples = np.linspace(lo, hi, 17)
+            vals = _segment_energies(path[i], path[i + 1], pairings, spec, samples)
+            j = int(np.argmax(vals))
+            path_max = max(path_max, vals[j])
+            lo, hi = max(0.0, samples[j] - (hi - lo) / 16), min(1.0, samples[j] + (hi - lo) / 16)
         searched += 1
     return MountainPassReport(
         path_max_energy=float(path_max),
-        node_energies=energies,
+        node_energies=energies(),
         initial_node_energies=initial_energies,
         endpoint_scale=scale,
         sweeps=n_deform,

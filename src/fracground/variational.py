@@ -105,43 +105,41 @@ def _segment_quadratic(lam, norm_a, cross, norm_b):
 
 
 def _segment_energies(
-    a: SpectralField, b: SpectralField, spec: NonlinearitySpec, alpha: float, lams
+    a: SpectralField, b: SpectralField, pairings: tuple[float, float, float], spec: NonlinearitySpec, lams
 ) -> np.ndarray:
-    """E((1 - lam) a + lam b) for every lam, with the quadratic part in closed form.
+    """E((1 - lam) a + lam b) for every lam in the array lams, the quadratic part in closed form.
 
-    Along the segment ||.||_alpha^2 is a quadratic in lam, so three spectral
-    sums serve every lam; the potential is one ``eval_F`` call on the stack of
-    the combined values.
+    Along the segment ||.||_alpha^2 is a quadratic in lam whose coefficients
+    are pairings = (||a||_alpha^2, <a, b>_alpha, ||b||_alpha^2); the
+    potential is one ``eval_F`` call on the stack of the combined values.
     """
     grid = a.grid
-    cross = _pairing(grid, a.spectrum, b.spectrum, alpha)
-    lam = np.asarray(lams, dtype=float)
-    quad = _segment_quadratic(lam, h_alpha_norm_sq(a, alpha), cross, h_alpha_norm_sq(b, alpha))
-    stack = (1.0 - lam)[:, None] * a.values + lam[:, None] * b.values
-    return quad - grid.spacing * np.sum(eval_F(spec, grid, stack), axis=1)
+    stack = (1.0 - lams)[:, None] * a.values + lams[:, None] * b.values
+    return _segment_quadratic(lams, *pairings) - grid.spacing * np.sum(eval_F(spec, grid, stack), axis=1)
 
 
-def _segment_bounds(path: list[SpectralField], spec: NonlinearitySpec, alpha: float) -> np.ndarray:
-    """An upper bound of E on each segment (1 - lam) a + lam b of a polyline of fields.
+def _segment_bounds(
+    path: list[SpectralField], norms: list, potentials: list, spec: NonlinearitySpec, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """An upper bound of E on each segment (1 - lam) a + lam b of a polyline, and <a, b>_alpha.
 
     Along a segment E = Q - P, where Q = ||.||_alpha^2 / 2 is a convex
-    quadratic in lam and P = h sum F(t, .) is convex and >= 0 (F(t, .) is
-    convex, with a >= 0).  So P lies above 0 and above its tangent lines at
+    quadratic in lam, from the nodes' ``norms`` ||u||_alpha^2, and
+    P = h sum F(t, .), from their ``potentials``, is convex and >= 0 (F(t, .)
+    is convex, with a >= 0).  So P lies above 0 and above its tangent lines at
     both ends, P(0) + lam P'(0) and P(1) - (1 - lam) P'(1), where
     P'(0) = h sum f(t, a)(b - a) and P'(1) = h sum f(t, b)(b - a), and
     U = Q - max(0, both tangents) >= E.  Between the crossings of the three
     lines U is convex, so its maximum over [0, 1] is its largest value at 0,
     1 or a crossing.
     """
-    grid = path[0].grid
-    h = grid.spacing
-    pot = h * np.array([np.sum(eval_F(spec, grid, u.values)) for u in path])
+    grid, h = path[0].grid, path[0].grid.spacing
     force = [eval_f(spec, grid, u.values) for u in path]
     steps = [b.values - a.values for a, b in zip(path, path[1:])]
+    pot, norms = np.array(potentials), np.array(norms)
     p0, p1 = pot[:-1, None], pot[1:, None]
     d0 = h * np.array([f @ step for f, step in zip(force, steps)])[:, None]
     d1 = h * np.array([f @ step for f, step in zip(force[1:], steps)])[:, None]
-    norms = np.array([_pairing(grid, u.spectrum, u.spectrum, alpha) for u in path])
     cross = np.array([_pairing(grid, a.spectrum, b.spectrum, alpha) for a, b in zip(path, path[1:])])
     with np.errstate(divide="ignore", invalid="ignore"):
         # where each tangent meets 0, and where the two tangents meet
@@ -150,7 +148,7 @@ def _segment_bounds(path: list[SpectralField], spec: NonlinearitySpec, alpha: fl
     lam = np.hstack([ends, np.clip(np.nan_to_num(crossings), 0.0, 1.0)])
     quad = _segment_quadratic(lam, norms[:-1, None], cross[:, None], norms[1:, None])
     lines = np.maximum(0.0, np.maximum(p0 + lam * d0, p1 - (1.0 - lam) * d1))
-    return np.max(quad - lines, axis=1)
+    return np.max(quad - lines, axis=1), cross
 
 
 @dataclass(frozen=True)

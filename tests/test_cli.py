@@ -81,6 +81,19 @@ class TestSolveCommand:
         code = run(["solve", "--output-dir", str(tmp_path / "x"), *FAST, "--set", "max_iters=2"])
         assert code == 1
 
+    def test_budget_of_exactly_the_needed_iterations_exits_0(self, tmp_path):
+        # the stop test reads the last iterate too: a budget of k steps ends where the
+        # uncapped run does, with the same histories, and k - 1 steps leave k residuals
+        assert run(["solve", "--output-dir", str(tmp_path / "full")]) == 0
+        k = json.loads((tmp_path / "full" / "report.json").read_text())["iterations"]
+        assert run(["solve", "--output-dir", str(tmp_path / "exact"), "--set", f"max_iters={k}"]) == 0
+        for name in ("report.json", "field.csv", "residuals.csv"):
+            assert read(tmp_path / "full" / name) == read(tmp_path / "exact" / name)
+        assert run(["solve", "--output-dir", str(tmp_path / "short"), "--set", f"max_iters={k - 1}"]) == 1
+        short = json.loads((tmp_path / "short" / "report.json").read_text())
+        assert short["converged"] is False and short["iterations"] == k - 1
+        assert len(short["residual_history"]) == k
+
     def test_diverged_exits_1(self, tmp_path, capsys):
         # a tolerance far below the energy-resolution floor ends in DivergedError
         out = tmp_path / "x"

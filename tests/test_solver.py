@@ -10,6 +10,7 @@ from fracground import (
     SolveConfig,
     SpectralField,
     compare_levels,
+    eval_F,
     gaussian_field,
     make_grid,
     mountain_pass_path,
@@ -246,7 +247,7 @@ class TestMixing:
         for u in (first, second, second):
             g = gradient(u, spec, 0.75).precond_gradient
             history.push(u, g)
-        assert history.count == 2
+        assert len(history.diffs) == 2
         assert history.mixed() is None
 
     def test_clear_restarts_the_history(self, small_grid):
@@ -264,7 +265,7 @@ class TestMixing:
         fresh = solver_module._MixingHistory(small_grid)
         for pair in pairs[2:]:
             fresh.push(*pair)
-        assert restarted.count == fresh.count == 1
+        assert len(restarted.diffs) == len(fresh.diffs) == 1
         assert np.array_equal(restarted.mixed().values, fresh.mixed().values)
         assert np.array_equal(restarted.mixed().spectrum, fresh.mixed().spectrum)
 
@@ -308,6 +309,22 @@ class TestMountainPass:
         assert report.node_energies == report.initial_node_energies
         assert report.initial_node_energies[0] == 0.0
         assert report.initial_node_energies[-1] < 0.0
+
+    @pytest.mark.parametrize(
+        "alpha, amplitude, autonomous",
+        [(0.6, 1.0, True), (0.75, 0.05, False), (0.9, 2.0, True), (1.0, 1e-7, False)],
+    )
+    def test_seed_energies_follow_from_the_endpoint(self, alpha, amplitude, autonomous):
+        # one energy call on the endpoint gives every seed node by homogeneity
+        config = SolveConfig(
+            half_width=32.0, n_points=1024, alpha=alpha, autonomous=autonomous,
+            init=InitSpec(amplitude=amplitude),
+        )
+        report = mountain_pass_path(config, n_nodes=9, n_deform=0)
+        endpoint = report.endpoint_scale * config.init.build(config.grid())
+        for lam, seeded in zip(np.linspace(0.0, 1.0, 9), report.initial_node_energies):
+            part = energy(lam * endpoint, config.nonlinearity(), alpha)
+            assert abs(seeded - part.total) <= 1e-14 * (part.quadratic + part.potential)
 
     def test_path_max_bounds_level_after_short_run(self):
         config = autonomous_config()
@@ -363,9 +380,11 @@ class TestMountainPass:
 
         def run(loosen):
             # raising a bound keeps it a bound, so the maximum must not move
-            monkeypatch.setattr(
-                solver_module, "_segment_bounds", lambda path, *args: loosen(true_bounds(path, *args))
-            )
+            def loosened(*args):
+                bounds, crosses = true_bounds(*args)
+                return loosen(bounds), crosses
+
+            monkeypatch.setattr(solver_module, "_segment_bounds", loosened)
             return mountain_pass_path(config, n_nodes=17, n_deform=5)
 
         every = run(lambda b: np.full_like(b, np.inf))
@@ -471,6 +490,25 @@ class TestAutonomy:
 
 
 class TestCompareLevels:
+    def test_first_order_gap_law(self):
+        # a = eps a1 gives c = c_bar - eps S + O(eps^2), S = max_y h sum a1(t) F_bar(Q(t - y))
+        results = {}
+        for eps in (1e-2, 1e-3):
+            spec = NonlinearitySpec(perturbation=Perturbation(amplitude=eps))
+            results[eps] = compare_levels(SolveConfig(alpha=0.75, spec=spec))
+        ground = results[1e-3].autonomous.field
+        grid = ground.grid
+        a1 = Perturbation(amplitude=1.0).weight(grid.nodes)
+        f_bar = eval_F(NonlinearitySpec().autonomous(), grid, ground.values)
+        translates = [grid.spacing * np.sum(a1 * np.roll(f_bar, k)) for k in range(-8, 9)]
+        slope = translates[8]
+        assert slope == max(translates)
+        deviation = {eps: abs((r.c_bar - r.c) / eps - slope) / slope for eps, r in results.items()}
+        assert deviation[1e-3] <= 2e-3
+        assert 9.0 <= deviation[1e-2] / deviation[1e-3] <= 11.0
+        for eps, r in results.items():
+            assert r.one_shot_level - r.c <= 0.1 * eps ** 2
+
     def test_zero_amplitude_matches_autonomous(self):
         spec = NonlinearitySpec(perturbation=Perturbation("gaussian", 0.0, 1.0))
         config = SolveConfig(alpha=0.75, spec=spec, residual_tol=1e-7)

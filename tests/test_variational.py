@@ -22,7 +22,7 @@ from fracground import (
 )
 from fracground import variational
 from fracground.checks import random_band_limited_field
-from fracground.operators import _even_symbols, apply_multiplier
+from fracground.operators import _even_symbols, _pairing, apply_multiplier
 from fracground.variational import _segment_bounds, _segment_energies
 
 SPEC = NonlinearitySpec()
@@ -112,8 +112,10 @@ class TestSegmentEnergies:
         a = gaussian_field(default_grid, center=-1.0, width=1.5, amplitude=0.8)
         b = gaussian_field(default_grid, center=1.0, width=2.5, amplitude=2.4)
         lams = np.linspace(0.0, 1.0, 17)
+        pairings = (h_alpha_norm_sq(a, alpha), _pairing(default_grid, a.spectrum, b.spectrum, alpha),
+                    h_alpha_norm_sq(b, alpha))
         for spec in (SPEC, SPEC.autonomous()):
-            closed = _segment_energies(a, b, spec, alpha, lams)
+            closed = _segment_energies(a, b, pairings, spec, lams)
             direct = np.array([energy((1.0 - lam) * a + lam * b, spec, alpha).total for lam in lams])
             assert np.all(np.abs(closed - direct) <= 1e-13 * np.abs(direct))
 
@@ -131,8 +133,11 @@ class TestSegmentEnergies:
             for _ in range(4):
                 a, b, noise = bump(), bump(), positive_random_field(small_grid, rng)
                 for pair in ((zero_field(small_grid), b), (a, b), (noise, b), (a, 2.5 * a)):
-                    bound = _segment_bounds(list(pair), spec, alpha)
-                    sampled = np.max(_segment_energies(*pair, spec, alpha, lams))
+                    parts = [energy(u, spec, alpha) for u in pair]
+                    norms = [2.0 * part.quadratic for part in parts]
+                    bound, cross = _segment_bounds(list(pair), norms, [part.potential for part in parts],
+                                                   spec, alpha)
+                    sampled = np.max(_segment_energies(*pair, (norms[0], cross[0], norms[1]), spec, lams))
                     assert bound.shape == (1,)
                     assert bound[0] >= sampled - 1e-12 * abs(sampled)
 
