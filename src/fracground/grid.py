@@ -48,13 +48,19 @@ class Grid1D:
     """Uniform periodic grid on [-L, L) with the angular frequencies pi k / L, k = 0..N/2.
 
     Equal and hashed by (L, N) alone, which fix the rest: per-grid tables are cached on the grid.
+    The nodes are made on their first read and kept, read-only.
     """
 
     half_width: float
     n_points: int
     spacing: float = field(compare=False)
-    nodes: np.ndarray = field(repr=False, compare=False)
     frequencies: np.ndarray = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        nodes = -self.half_width + self.spacing * np.arange(self.n_points)
+        nodes.flags.writeable = False
+        return nodes
 
     @property
     def frequency_step(self) -> float:
@@ -69,7 +75,8 @@ def make_grid(half_width: float, n_points: int) -> Grid1D:
     """Build a grid on [-L, L) with N uniform cells.
 
     Requires L > 0 and even N >= 16.  The node spacing satisfies
-    h * N == 2 L exactly in floating point (h is computed as 2L/N).
+    h * N == 2 L exactly in floating point (h is computed as 2L/N).  Only the
+    frequencies are made here; the nodes are made on their first read.
     """
     half_width = float(half_width)
     if not np.isfinite(half_width) or half_width <= 0:
@@ -80,12 +87,10 @@ def make_grid(half_width: float, n_points: int) -> Grid1D:
     if n_points < 16:
         raise ValueError(f"n_points must be >= 16, got {n_points}")
     h = 2.0 * half_width / n_points
-    nodes = -half_width + h * np.arange(n_points)
     freqs = np.fft.rfftfreq(n_points, d=h)
     freqs *= 2.0 * np.pi
-    nodes.flags.writeable = False
     freqs.flags.writeable = False
-    return Grid1D(half_width, n_points, h, nodes, freqs)
+    return Grid1D(half_width, n_points, h, freqs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +201,8 @@ def values_from_spectrum(grid: Grid1D, spectrum: np.ndarray) -> tuple[np.ndarray
 
 def _mode_power(spectrum: np.ndarray) -> np.ndarray:
     """|S_k|^2 for k <= N/2, interior modes doubled: each also stands for its mirror -k."""
-    power = np.abs(spectrum) ** 2
+    power = np.abs(spectrum)
+    power *= power
     power[1:-1] *= 2.0
     return power
 

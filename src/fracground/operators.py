@@ -12,7 +12,8 @@ real field is the conjugate mirror of mode k, and so is its symbol.
 The zero mode maps to 0 for derivatives and is singular for integrals, so
 integrals reject fields with nonzero mean.  The Nyquist mode is its own
 mirror, where the two conjugate phases would have to agree, and is zeroed for
-the four one-sided symbols to keep real fields real.
+the four one-sided symbols to keep real fields real.  A one-sided operator
+owns the symbol it makes and takes the product in it; cached symbols are read.
 
 A Grunwald-Letnikov difference-quotient discretization of the same
 derivatives is provided as an independent time-domain oracle; it treats the
@@ -24,6 +25,7 @@ run, of r points, is transformed once at a power-of-two length p of about
 four run lengths, and each block of p - r + 1 weights is transformed,
 multiplied and added into the output.  Transforms of p points stay near cache
 size, where one product of the whole sequences at N or 2N points does not.
+The oracle's output field holds the array that the oracle built.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ def multiplier_symbol(grid: Grid1D, alpha: float, kind: str) -> np.ndarray:
     power = alpha if kind.endswith("deriv") else -alpha
     m = grid.nyquist_index
     sym = np.zeros(m + 1, dtype=np.complex128)
-    sym[1:m] = grid.frequencies[1:m] ** power * np.exp(1j * (power * (np.pi / 2.0) * sign))
+    sym.real[1:m] = grid.frequencies[1:m] ** power
+    sym[1:m] *= np.exp(1j * (power * (np.pi / 2.0) * sign))
     return sym
 
 
@@ -157,12 +160,16 @@ def _check_tail(u: SpectralField) -> None:
 
 
 def apply_multiplier(u: SpectralField, symbol: np.ndarray) -> SpectralField:
-    """Apply a diagonal Fourier multiplier, keeping ``symbol * u.spectrum`` as the spectrum.
+    """Apply a diagonal Fourier multiplier; the symbol is only read, as cached symbols are shared."""
+    return _join_product(u, symbol * u.spectrum)
+
+
+def _join_product(u: SpectralField, out_spectrum: np.ndarray) -> SpectralField:
+    """The field whose spectrum is the fresh product ``out_spectrum`` of a symbol and u's.
 
     The asserted bound on the discarded imaginary residue bounds its gap to the
     values; ||u|| is read only when the residue is not 0, as 0 passes at any scale.
     """
-    out_spectrum = symbol * u.spectrum
     values, imag_l2 = values_from_spectrum(u.grid, out_spectrum)
     if imag_l2 > 0.0:
         scale = lp_norm(u, 2)
@@ -184,8 +191,9 @@ def fractional_derivative(u: SpectralField, alpha: float, side: str) -> Spectral
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     _check_tail(u)
-    kind = "left_deriv" if side == "left" else "right_deriv"
-    return apply_multiplier(u, multiplier_symbol(u.grid, alpha, kind))
+    product = multiplier_symbol(u.grid, alpha, "left_deriv" if side == "left" else "right_deriv")
+    product *= u.spectrum
+    return _join_product(u, product)
 
 
 def fractional_integral(u: SpectralField, alpha: float, side: str) -> SpectralField:
@@ -201,8 +209,9 @@ def fractional_integral(u: SpectralField, alpha: float, side: str) -> SpectralFi
         raise ZeroModeSingularError(
             f"fractional integral requires a zero-mean field, got mean {mean:.3e}"
         )
-    kind = "left_int" if side == "left" else "right_int"
-    return apply_multiplier(u, multiplier_symbol(u.grid, alpha, kind))
+    product = multiplier_symbol(u.grid, alpha, "left_int" if side == "left" else "right_int")
+    product *= u.spectrum
+    return _join_product(u, product)
 
 
 def composed_operator(u: SpectralField, alpha: float) -> SpectralField:
@@ -259,8 +268,10 @@ def fftconvolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 def gl_weights(alpha: float, max_terms: int) -> np.ndarray:
     """Binomial weights (-1)^k C(alpha, k), cut before the first below GL_WEIGHT_CUTOFF."""
-    k = np.arange(1.0, max_terms + 1.0)
-    weights = np.concatenate(([1.0], np.cumprod((k - 1.0 - alpha) / k)))
+    weights = np.ones(max_terms + 1)
+    ratio = np.subtract(np.arange(max_terms), alpha, out=weights[1:])  # (k - 1 - alpha) / k, k >= 1
+    ratio /= np.arange(1.0, max_terms + 1.0)
+    np.cumprod(ratio, out=ratio)
     small = np.flatnonzero(np.abs(weights) < GL_WEIGHT_CUTOFF)
     return weights[: small[0]] if small.size else weights
 
@@ -268,15 +279,13 @@ def gl_weights(alpha: float, max_terms: int) -> np.ndarray:
 def _check_support_margin(u: SpectralField) -> tuple[int, int]:
     """Check the support margin; return the run i0..i1 of values not exactly 0 (0, 0 if none)."""
     grid = u.grid
-    magnitude = np.abs(u.values)
-    nonzero = np.flatnonzero(magnitude)
+    nonzero = np.flatnonzero(u.values)
     if nonzero.size == 0:
         return 0, 0
     i0, i1 = int(nonzero[0]), int(nonzero[-1]) + 1
-    run = magnitude[i0:i1]
+    run = np.abs(u.values[i0:i1])
     idx = i0 + np.flatnonzero(run > 1e-13 * run.max())
-    t_lo = grid.nodes[idx[0]]
-    t_hi = grid.nodes[idx[-1]]
+    t_lo, t_hi = -grid.half_width + grid.spacing * idx[[0, -1]]  # two nodes, not the node array
     margin = min(t_lo + grid.half_width, grid.half_width - t_hi)
     if margin < SUPPORT_MARGIN_FRACTION * grid.half_width:
         raise ValueError(
@@ -302,16 +311,15 @@ def gl_oracle(u: SpectralField, alpha: float, side: str) -> SpectralField:
     grid = u.grid
     n = grid.n_points
     values = u.values
-    if side == "right":
-        values = values[::-1]
+    out = frame = np.zeros(n)
+    if side == "right":  # the left oracle in the mirrored frame
+        values, frame = values[::-1], out[::-1]
         i0, i1 = n - i1, n - i0
-    out = np.zeros(n)
     if i1 > i0:
         conv = fftconvolve(gl_weights(alpha, n - i0 - 1), values[i0:i1], n - i0)
-        out[i0 : i0 + conv.size] = conv * grid.spacing ** (-alpha)
-    if side == "right":
-        out = out[::-1]
-    return SpectralField.from_values(grid, out)
+        conv *= grid.spacing ** (-alpha)
+        frame[i0 : i0 + conv.size] = conv
+    return SpectralField._join(grid, out)
 
 
 # -- norms ---------------------------------------------------------------------

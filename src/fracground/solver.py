@@ -188,7 +188,8 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     one state is the accepted projection, and ``iterations`` is
     len(energy_history) - 1.  One stop test at the head of each iteration
     ends the run: converged once the residual is at most residual_tol, else
-    unconverged once max_iters steps are accepted.
+    unconverged once max_iters steps are accepted.  The level is that of the
+    box [-L, L), with an error of about K L^-(1 + 2 alpha) to the real line's.
 
     When 1 + a(t) is not exactly 1 on the grid, the start is first moved to
     its translate of least projected energy (``variational._best_translate``).

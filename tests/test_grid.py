@@ -67,6 +67,21 @@ class TestMakeGrid:
         assert make_grid(4.0, 64) != first
         assert make_grid(8.0, 64) != "grid"
 
+    @pytest.mark.parametrize("half_width, n_points", [(256.0, 2 ** 16), (50.0, 1000)])
+    def test_nodes_are_made_on_first_read(self, half_width, n_points):
+        grid, twin = make_grid(half_width, n_points), make_grid(half_width, n_points)
+        assert "nodes" not in grid.__dict__
+        key = hash(grid)
+        nodes = grid.nodes
+        assert grid.nodes is nodes and not nodes.flags.writeable
+        expected = -half_width + grid.spacing * np.arange(n_points)
+        assert nodes.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 0.0
+        # reading the nodes changes neither equality nor the hash
+        assert hash(grid) == key == hash(twin)
+        assert grid == twin and len({grid, twin}) == 1
+
 
 class TestTransform:
     def test_pure_mode_spectrum_support(self, small_grid):

@@ -1,5 +1,6 @@
 import functools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from fracground.operators import (
     _even_symbols,
     _pairing,
     _pairing_weights,
+    _check_support_margin,
     _tail_mass,
     apply_multiplier,
     fftconvolve,
@@ -466,3 +468,136 @@ class TestConformanceSuite:
         assert rows, "no checks ran"
         for row in rows:
             assert row.passed, f"{row.name}: {row.residual:.3e} >= {row.tolerance:.0e}"
+
+
+def _fresh_field(grid, center=3.0, width=1.0):
+    """A Gaussian bump built without reading grid.nodes, its spectrum not yet made."""
+    t = -grid.half_width + grid.spacing * np.arange(grid.n_points)
+    return SpectralField.from_values(grid, np.exp(-((t - center) ** 2) / (2.0 * width ** 2)))
+
+
+def _zero_mean_field(grid, center=3.0):
+    """The odd bump (t - c) exp(-(t - c)^2 / 2), whose mean is 0 to rounding."""
+    t = -grid.half_width + grid.spacing * np.arange(grid.n_points) - center
+    return SpectralField.from_values(grid, t * np.exp(-(t ** 2) / 2.0))
+
+
+class TestAllocations:
+    """Peak traced allocation of the large-N path, in units of 8N bytes at N = 2^18."""
+
+    N = 2 ** 18
+
+    def peak_units(self, fn, *args):
+        """Return fn(*args) and its allocation peak above its entry, in units of 8N bytes."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            result = fn(*args)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            if started:
+                tracemalloc.stop()
+        return result, peak / (8 * self.N)
+
+    def test_make_grid_allocates_only_the_frequencies(self):
+        grid, units = self.peak_units(make_grid, 1024.0, self.N)
+        assert units <= 1.2
+        assert "nodes" not in grid.__dict__
+
+    def test_derivative_takes_its_product_in_the_fresh_symbol(self):
+        u = _fresh_field(make_grid(1024.0, self.N))
+        _, units = self.peak_units(fractional_derivative, u, 0.75, "left")
+        # the spectrum, the symbol holding the product, the scaled copy and the values
+        assert units <= 4.1
+
+    def test_integral_takes_its_product_in_the_fresh_symbol(self):
+        u = _zero_mean_field(make_grid(1024.0, self.N))
+        _, units = self.peak_units(fractional_integral, u, 0.75, "right")
+        assert units <= 4.1
+
+    def test_the_oracle_and_the_derivative_make_no_nodes(self):
+        grid = make_grid(1024.0, self.N)
+        u = _fresh_field(grid)
+        gl_oracle(u, 0.75, "left")
+        gl_oracle(u, 0.75, "right")
+        fractional_derivative(u, 0.75, "left")
+        assert "nodes" not in grid.__dict__
+
+
+def _reference_gl_oracle(u, alpha, side):
+    """gl_oracle's values by plain expressions that allocate freely: a scan of |u|,
+    concatenated weights, a scaled copy of the convolution and a reversed output."""
+    n = u.grid.n_points
+    nonzero = np.flatnonzero(np.abs(u.values))
+    i0, i1 = int(nonzero[0]), int(nonzero[-1]) + 1
+    values = u.values
+    if side == "right":
+        values = values[::-1]
+        i0, i1 = n - i1, n - i0
+    k = np.arange(1.0, n - i0)
+    weights = np.concatenate(([1.0], np.cumprod((k - 1.0 - alpha) / k)))
+    small = np.flatnonzero(np.abs(weights) < GL_WEIGHT_CUTOFF)
+    weights = weights[: small[0]] if small.size else weights
+    out = np.zeros(n)
+    conv = fftconvolve(weights, values[i0:i1], n - i0)
+    out[i0 : i0 + conv.size] = conv * u.grid.spacing ** (-alpha)
+    if side == "right":
+        out = out[::-1]
+    return out
+
+
+@pytest.fixture(params=[(256.0, 2 ** 16), (50.0, 1000)], ids=["N=2^16", "N=1000,h=0.1"])
+def bits_grid(request):
+    return make_grid(*request.param)
+
+
+class TestSameBits:
+    @pytest.mark.parametrize("kind", ["left_deriv", "right_deriv", "left_int", "right_int"])
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.9])
+    def test_one_sided_result_is_the_product_and_its_inverse(self, bits_grid, kind, alpha):
+        side, op = kind.split("_")
+        if op == "deriv":
+            u = _fresh_field(bits_grid)
+            out = fractional_derivative(u, alpha, side)
+        else:
+            u = _zero_mean_field(bits_grid)
+            out = fractional_integral(u, alpha, side)
+        product = multiplier_symbol(bits_grid, alpha, kind) * u.spectrum
+        assert np.array_equal(out.spectrum, product)
+        assert np.array_equal(out.values, values_from_spectrum(bits_grid, product)[0])
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+    def test_oracle_equals_the_reference_expressions_bit_for_bit(self, bits_grid, side, alpha):
+        u = _fresh_field(bits_grid, center=-2.0, width=0.7)
+        out = gl_oracle(u, alpha, side)
+        assert np.array_equal(out.values, _reference_gl_oracle(u, alpha, side))
+        assert not out.values.flags.writeable
+
+    def test_support_scan_reads_the_nodes_it_does_not_make(self, bits_grid):
+        # runs ending on, inside and one cell past the L/4 margin at either end
+        grid, q = bits_grid, bits_grid.n_points // 8
+        outcomes = set()
+        for first, last in ((q, 7 * q), (q + 1, 7 * q - 1), (q - 1, 7 * q), (q, 7 * q + 1)):
+            values = np.zeros(grid.n_points)
+            values[first : last + 1] = 1.0
+            u = SpectralField.from_values(grid, values)
+            margin = min(grid.nodes[first] + grid.half_width, grid.half_width - grid.nodes[last])
+            if margin < 0.25 * grid.half_width:
+                with pytest.raises(ValueError, match="margin"):
+                    _check_support_margin(u)
+            else:
+                assert _check_support_margin(u) == (first, last + 1)
+            outcomes.add(margin < 0.25 * grid.half_width)
+        assert outcomes == {False, True}
+
+    def test_a_handed_symbol_is_not_written(self, bits_grid):
+        symbol = multiplier_symbol(bits_grid, 0.75, "left_deriv")
+        kept = symbol.copy()
+        assert symbol.flags.writeable
+        out = apply_multiplier(_fresh_field(bits_grid), symbol)
+        assert np.array_equal(symbol, kept)
+        assert not np.shares_memory(out.spectrum, symbol)

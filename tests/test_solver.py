@@ -18,7 +18,7 @@ from fracground import (
     solve_ground_state,
     vanishing_diagnostic,
 )
-from fracground import solver as solver_module
+from fracground import operators, solver as solver_module
 from fracground.grid import field_to_csv
 from fracground.variational import _best_translate, energy, gradient
 
@@ -523,3 +523,38 @@ class TestCompareLevels:
         assert result.gap > 10 * config.residual_tol
         assert result.one_shot_strict
         assert result.one_shot_level < result.c_bar
+
+
+class TestBoxLevel:
+    """The level is that of the box [-L, L): Q decays like |t|^-(1 + 2 alpha), so the
+    box error falls like L^-(1 + 2 alpha) (Frank & Lenzmann, Acta Math. 210, 2013)."""
+
+    @staticmethod
+    def box_levels(half_widths, **kwargs):
+        # h = 1/32 on every box
+        return [
+            solve_ground_state(
+                autonomous_config(half_width=L, n_points=int(64 * L), residual_tol=5e-8, **kwargs)
+            ).level
+            for L in half_widths
+        ]
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+    def test_level_error_falls_like_a_power_of_the_box(self, alpha):
+        c32, c64, c128 = self.box_levels((32.0, 64.0, 128.0), alpha=alpha)
+        ratio = (c32 - c64) / (c64 - c128)
+        assert abs(ratio / 2.0 ** (1.0 + 2.0 * alpha) - 1.0) <= 0.02
+
+    def test_benjamin_ono_level_extrapolates_to_pi_over_2(self, monkeypatch):
+        # |D|Q + Q = Q^2 is solved by Q = 2 / (1 + t^2), of level pi/2 (Benjamin 1967;
+        # Ono 1975); alpha = 1/2 is admitted here only
+        _, closed, text = operators._ORDER_RANGES["variational"]
+        monkeypatch.setitem(operators._ORDER_RANGES, "variational", (0.25, closed, text))
+        c32, c64 = self.box_levels(
+            (32.0, 64.0),
+            alpha=0.5,
+            spec=NonlinearitySpec(p=2.0, theta=3.0, p0=2.5),
+            init=InitSpec(width=1.0, amplitude=2.0),
+        )
+        # the box error falls like L^-2 at alpha = 1/2: one Richardson step
+        assert abs((4.0 * c64 - c32) / 3.0 - np.pi / 2.0) <= 1e-12
