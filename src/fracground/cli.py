@@ -165,7 +165,8 @@ def _cmd_validate_hypotheses(values: dict, out_dir: str) -> int:
     payload = {
         "schema": SCHEMA_VERSION,
         "all_passed": report.all_passed,
-        "c_epsilon": report.c_epsilon,
+        # no finite constant (p0 <= p) is null, as strict JSON has no Infinity
+        "c_epsilon": report.c_epsilon if np.isfinite(report.c_epsilon) else None,
         "epsilon": report.epsilon,
         "checks": [dataclasses.asdict(check) for check in report.checks],
     }

@@ -1,4 +1,4 @@
-"""Parametrized nonlinearities f(t, xi) and their sampled hypothesis checks.
+"""Parametrized nonlinearities f(t, xi) and their closed-form hypothesis checks.
 
 The built-in family is
 
@@ -9,10 +9,12 @@ fbar(xi) = max(xi, 0)^p is the same family with a = 0, built by
 ``spec.autonomous()``; every evaluator takes the spec it is given.  The
 family satisfies the structural hypotheses (sign, superquadratic growth with
 exponent theta, smallness near 0, growth ceiling p0, fiber monotonicity, and
-comparison with the autonomous part) whenever theta <= p + 1 < p0 + 1 and
-theta < p0 + 1.  Those cross-parameter relations are checked by the
-validator rather than the constructor, so that deliberately broken specs can
-be built and shown to fail.
+comparison with the autonomous part) exactly when theta <= p + 1,
+p < p0, theta < p0 + 1 and the amplitude A = sup a = a(0) is positive, and
+the least growth constant C_eps has a closed form in (p, p0, A).  Those
+cross-parameter relations are checked by the validator, in closed form,
+rather than by the constructor, so that deliberately broken specs can be
+built and shown to fail.
 
 The powers max(xi, 0)^e are flushed to an exact 0 wherever they would fall
 below the smallest normal float (xi <= tiny^(1/e)): libm's pow takes a slow
@@ -160,15 +162,7 @@ def eval_df(spec: NonlinearitySpec, t: Union[Grid1D, ArrayLike], xi: ArrayLike):
     return out if out.ndim else float(out)
 
 
-def growth_constant(spec: NonlinearitySpec, epsilon: float, t: np.ndarray, xi: np.ndarray) -> float:
-    """Minimal C such that |f| <= epsilon |xi| + C |xi|^p0 over the sample set."""
-    tt, xx = np.meshgrid(t, xi[xi != 0], indexing="ij")
-    f_abs = np.abs(eval_f(spec, tt, xx))
-    slack = f_abs - epsilon * np.abs(xx)
-    return float(np.max(np.maximum(slack, 0.0) / np.abs(xx) ** spec.p0))
-
-
-# -- sampled hypothesis validation --------------------------------------------
+# -- hypothesis validation -----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -197,153 +191,64 @@ class HypothesisReport:
         raise KeyError(name)
 
 
-# Floating-point slack for inequalities that are exact for the built-in family.
-_EXACT_TOL = 1e-12
+def growth_constant(spec: NonlinearitySpec, epsilon: float) -> float:
+    """Least C with |f(t, xi)| <= epsilon |xi| + C |xi|^p0 for all t and xi, in closed form.
 
-
-def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    mask = (y > 0) & (x > 0)
-    if np.count_nonzero(mask) < 2:
-        return 0.0
-    coeffs = np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)
-    return float(coeffs[0])
-
-
-#: the fixed sampling box of ``validate_hypotheses``: t_max, xi_max, samples per axis
-_T_MAX, _XI_MAX, _N_SAMPLES = 8.0, 1e4, 48
+    With A = sup a (the amplitude, attained at t = 0) the least C is
+    sup_xi ((1 + A) xi^p - epsilon xi) / xi^p0, attained at
+    xi* = (epsilon (p0 - 1) / ((1 + A)(p0 - p)))^(1/(p-1)), where it equals
+    epsilon (p - 1) / (p0 - p) * xi*^(1-p0).  That is computed in logs, so
+    that no power of xi* overflows or underflows; a C beyond the largest
+    float is inf, as is the C of p0 <= p, for which no finite constant exists.
+    """
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be in (0, inf), got {epsilon}")
+    p, p0, peak = spec.p, spec.p0, 1.0 + spec.perturbation.amplitude
+    if not p0 > p:
+        return np.inf
+    log_xi = (np.log(epsilon * (p0 - 1.0)) - np.log(peak * (p0 - p))) / (p - 1.0)
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.log(epsilon * (p - 1.0) / (p0 - p)) + (1.0 - p0) * log_xi))
 
 
 def validate_hypotheses(spec: NonlinearitySpec) -> HypothesisReport:
-    """Sampled pass/fail report for the six structural hypotheses.
+    """Pass/fail report for the six structural hypotheses, in closed form.
 
-    All checks are finite surrogates of universally quantified statements,
-    sampled on a fixed box: 48 nodes t in [-8, 8] and 48 magnitudes |xi| from
-    1e-6 to 1e4 on each side of 0.  Sign and growth inequalities are tested
-    on the sample grid with worst-case margins and witnesses, the two limits
-    (smallness near 0, growth ceiling at infinity) as log-log decay slopes
-    over the sampled decades, and the comparison condition by the sampled
-    measure of {f > fbar}.  Failures are reported, not raised.
+    For f = (1 + a(t)) xi_+^p with 0 <= a <= A = a(0), each hypothesis is a
+    relation between p, theta, p0 and A, and its margin is exact:
+
+    - sign: f >= 0 on xi >= 0 and f = 0 on xi <= 0; margin 0, at xi = 0.
+    - superquadratic: theta F <= xi f iff theta <= p + 1; margin
+      (xi f - theta F) / (xi f) = 1 - theta / (p + 1), the same at every xi > 0.
+    - small_at_zero: f / xi = (1 + a) xi^(p-1) -> 0 as xi -> 0+; margin p - 1.
+    - growth_ceiling: f / xi^p0 -> 0 as xi -> infinity iff p0 > p, together
+      with theta < p0 + 1; margin min(p0 - p, p0 + 1 - theta).
+    - fiber_monotone: f(t, sigma xi) xi / sigma = (1 + a) sigma^(p-1) xi^(p+1)
+      increases in sigma; margin p - 1.
+    - autonomous_comparison: 0 <= f - fbar = a xi^p <= a (xi + xi^p0) iff
+      p0 >= p, and f > fbar on a set of positive measure iff A > 0; margin
+      min(A, p0 - p).
+
+    Every witness but that of sign is (t, xi) = (0, 1), where a peaks.  C_eps
+    is :func:`growth_constant` at epsilon = 0.1.  Failures are reported, not raised.
     """
-    n = _N_SAMPLES
-    t = np.linspace(-_T_MAX, _T_MAX, n)
-    xi_pos = np.geomspace(1e-6, _XI_MAX, n)
-    xi = np.concatenate([-xi_pos[::-1], [0.0], xi_pos])
-    tt, xx = np.meshgrid(t, xi, indexing="ij")
-    f_vals = eval_f(spec, tt, xx)
-    F_vals = eval_F(spec, tt, xx)
-    checks: list[HypothesisCheck] = []
-
-    def worst(measure: np.ndarray, mask: np.ndarray) -> tuple[float, tuple[float, float]]:
-        vals = np.where(mask, measure, np.inf)
-        idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        return float(vals[idx]), (float(tt[idx]), float(xx[idx]))
-
-    # sign conditions: f >= 0 for xi >= 0 and f == 0 for xi <= 0
-    m_sign, w_sign = worst(np.where(xx <= 0, -np.abs(f_vals), f_vals), np.ones_like(xx, bool))
-    checks.append(
+    p, theta, p0, amplitude = spec.p, spec.theta, spec.p0, spec.perturbation.amplitude
+    rows = (
+        ("sign", True, 0.0, "f >= 0 on xi >= 0 and f = 0 on xi <= 0"),
+        ("superquadratic", theta <= p + 1.0, 1.0 - theta / (p + 1.0),
+         "(xi f - theta F) / (xi f) = 1 - theta/(p+1); negative means theta is too large"),
+        ("small_at_zero", True, p - 1.0, "p - 1, the decay exponent of f/|xi| as xi -> 0+"),
+        ("growth_ceiling", p0 > p and p0 + 1.0 > theta, min(p0 - p, p0 + 1.0 - theta),
+         "min(p0 - p, p0 + 1 - theta): f/|xi|^p0 decays as xi -> infinity and p0 + 1 > theta"),
+        ("fiber_monotone", True, p - 1.0,
+         "p - 1, the growth exponent of f(t, sigma xi) xi / sigma in sigma"),
+        ("autonomous_comparison", amplitude > 0.0 and p0 >= p, min(amplitude, p0 - p),
+         "min(A, p0 - p): A = sup a > 0, and p0 >= p keeps f - fbar under a (|xi| + |xi|^p0)"),
+    )
+    checks = tuple(
         HypothesisCheck(
-            "sign",
-            m_sign >= -_EXACT_TOL,
-            m_sign,
-            w_sign,
-            "min over samples of f on {xi >= 0} and of -|f| on {xi <= 0}",
+            name, bool(ok), float(margin), (0.0, 0.0 if name == "sign" else 1.0), detail
         )
+        for name, ok, margin, detail in rows
     )
-
-    # superquadratic growth: theta F <= xi f on xi > 0
-    scale = np.maximum(1.0, np.abs(xx * f_vals))
-    m_ar, w_ar = worst((xx * f_vals - spec.theta * F_vals) / scale, xx > 0)
-    checks.append(
-        HypothesisCheck(
-            "superquadratic",
-            m_ar >= -_EXACT_TOL,
-            m_ar,
-            w_ar,
-            "min over xi > 0 of (xi f - theta F), relative; negative means the "
-            "growth exponent theta is too large",
-        )
-    )
-
-    # smallness near zero: max_t f / |xi| decays as xi -> 0+
-    small = xi_pos[xi_pos <= 1e-2]
-    ratio0 = np.array([np.max(eval_f(spec, t, np.full_like(t, s)) / s) for s in small])
-    slope0 = _loglog_slope(small, ratio0)
-    ref0 = float(np.max(eval_f(spec, t, np.ones_like(t))))
-    ok0 = slope0 >= 0.1 and (ref0 == 0.0 or ratio0[0] <= 1e-2 * max(ref0, 1.0))
-    checks.append(
-        HypothesisCheck(
-            "small_at_zero",
-            bool(ok0),
-            slope0,
-            (0.0, float(small[0])),
-            "log-log slope of max_t f/|xi| near xi = 0 (positive slope means decay to 0)",
-        )
-    )
-
-    # growth ceiling: max_t f / |xi|^p0 decays as xi -> infinity
-    large = xi_pos[xi_pos >= _XI_MAX ** 0.5]
-    ratio_inf = np.array(
-        [np.max(eval_f(spec, t, np.full_like(t, s)) / s ** spec.p0) for s in large]
-    )
-    slope_inf = _loglog_slope(large, ratio_inf)
-    ok_inf = slope_inf <= -0.05 and spec.p0 + 1.0 > spec.theta
-    checks.append(
-        HypothesisCheck(
-            "growth_ceiling",
-            bool(ok_inf),
-            -slope_inf,
-            (0.0, float(large[-1])),
-            "negated log-log slope of max_t f/|xi|^p0 at large xi, requiring "
-            "decay and p0 + 1 > theta",
-        )
-    )
-
-    # fiber monotonicity: sigma -> f(t, sigma xi) xi / sigma nondecreasing
-    sigma = np.geomspace(1e-2, 1e2, 25)
-    xi_f4 = np.concatenate([xi_pos[:: max(1, n // 12)], -xi_pos[:: max(1, n // 12)]])
-    t_f4 = t[:: max(1, n // 12)]
-    m_f4 = np.inf
-    w_f4 = (0.0, 0.0)
-    for ti in t_f4:
-        for xj in xi_f4:
-            vals = eval_f(spec, ti, sigma * xj) * xj / sigma
-            diffs = np.diff(vals)
-            ref = np.maximum(1.0, np.abs(vals[:-1]))
-            rel = diffs / ref
-            worst_rel = float(np.min(rel))
-            if worst_rel < m_f4:
-                m_f4, w_f4 = worst_rel, (float(ti), float(xj))
-    checks.append(
-        HypothesisCheck(
-            "fiber_monotone",
-            m_f4 >= -_EXACT_TOL,
-            m_f4,
-            w_f4,
-            "min relative increment of f(t, sigma xi) xi / sigma over a sigma grid",
-        )
-    )
-
-    # comparison with the autonomous part:
-    # 0 <= f - fbar <= a(t)(|xi| + |xi|^p0) and the set {f > fbar} has positive measure
-    fbar_vals = eval_f(spec.autonomous(), tt, xx)
-    diff = f_vals - fbar_vals
-    envelope = spec.perturbation.weight(tt) * (np.abs(xx) + np.abs(xx) ** spec.p0)
-    m_lo = float(np.min(diff))
-    m_hi = float(np.min(envelope - diff) / max(1.0, float(np.max(envelope))))
-    strict_cols = np.any(diff > 0, axis=1)
-    measure = float(np.count_nonzero(strict_cols)) / len(t) * (2.0 * _T_MAX)
-    ok_f5 = m_lo >= -_EXACT_TOL and m_hi >= -_EXACT_TOL and measure > 0.0
-    idx = np.unravel_index(int(np.argmin(diff)), diff.shape)
-    checks.append(
-        HypothesisCheck(
-            "autonomous_comparison",
-            bool(ok_f5),
-            measure if measure > 0.0 else min(m_lo, m_hi),
-            (float(tt[idx]), float(xx[idx])),
-            "sampled measure of {t: f(t, .) > fbar} (zero means the perturbation "
-            "vanishes), with the two-sided envelope checked on all samples",
-        )
-    )
-
-    c_eps = growth_constant(spec, 0.1, t, xi)
-    return HypothesisReport(tuple(checks), c_eps, 0.1)
+    return HypothesisReport(checks, growth_constant(spec, 0.1), 0.1)

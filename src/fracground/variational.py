@@ -164,8 +164,10 @@ def fiber_map(u: SpectralField, spec: NonlinearitySpec, alpha: float, sigma_grid
     F(t, .) is homogeneous of degree p + 1, so psi has the closed form
     sigma^2 ||u||_alpha^2 / 2 - sigma^(p+1) integral F(t, u): one norm and one
     potential serve every sigma.  The sign-change count of the discrete slope
-    is the sampled version of fiber unimodality (one + to - change for fields
-    with nonzero positive part).
+    is the sampled version of fiber unimodality (one + to - change).  A zero
+    potential, of a field with no positive part or one whose every power
+    flushes to 0 (as at p >~ 1e20), leaves no maximizer on the ray and raises
+    NoPositivePartError.
     """
     alpha = validate_order(alpha, within="variational")
     sigmas = np.asarray(list(sigma_grid), dtype=float)
@@ -175,6 +177,8 @@ def fiber_map(u: SpectralField, spec: NonlinearitySpec, alpha: float, sigma_grid
         raise ValueError("fiber map requires a nonzero field")
     norm_sq = h_alpha_norm_sq(u, alpha)
     potential = u.grid.spacing * float(np.sum(eval_F(spec, u.grid, u.values)))
+    if potential == 0.0:
+        raise NoPositivePartError("field has no positive part or its potential flushes to 0")
     with np.errstate(over="ignore"):  # at large p sigma^(p+1) = inf, so psi = -inf
         growth = sigmas ** (spec.p + 1.0)
     values = 0.5 * sigmas * sigmas * norm_sq - growth * potential

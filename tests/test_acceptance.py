@@ -234,6 +234,6 @@ def test_criterion_9_hypothesis_validators():
     report_a0 = validate_hypotheses(no_bump)
     assert not report_a0["autonomous_comparison"].passed
     print(
-        "\nACCEPTANCE 9 PASS: default family passes all six sampled hypotheses; "
+        "\nACCEPTANCE 9 PASS: default family passes all six closed-form hypotheses; "
         "theta = p + 1.5 and zero-amplitude counterexamples fail with witnesses"
     )

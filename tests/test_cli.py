@@ -206,6 +206,12 @@ class TestInvalidInput:
         assert run([cmd, "--output-dir", str(tmp_path / "x"), "--set", "p=1e20"]) == 1
         assert "NoPositivePartError" in assert_one_error_line(capsys)
 
+    def test_flushed_fiber_scan_exits_1(self, tmp_path, capsys):
+        # at p = 1e20 every power of the seed flushes to 0: no fiber maximizer exists
+        code = run(["fiber-scan", "--output-dir", str(tmp_path / "x"), "--set", "p=1e20"])
+        assert code == 1
+        assert "NoPositivePartError" in assert_one_error_line(capsys)
+
     @pytest.mark.parametrize(
         "text, lineno",
         [("alpha = 0.8\nN 1024\n", 2), ("autonomous = maybe\n", 1)],
@@ -279,6 +285,18 @@ class TestOtherCommands:
         failed = [c for c in payload["checks"] if not c["passed"]]
         assert any(c["name"] == "superquadratic" for c in failed)
         assert all(c["witness"] is not None for c in failed if c["name"] == "superquadratic")
+
+    def test_validate_hypotheses_without_growth_constant_is_strict_json(self, tmp_path):
+        # at p0 < p no finite C_eps exists; hypotheses.json says null, not Infinity
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        out = tmp_path / "hyp"
+        code = run(["validate-hypotheses", "--output-dir", str(out), "--set", "p0=2.5"])
+        assert code == 0
+        payload = json.loads((out / "hypotheses.json").read_text(), parse_constant=reject)
+        assert payload["c_epsilon"] is None
+        assert payload["all_passed"] is False
 
     def test_bad_nonlinearity_parameter_exits_2(self, tmp_path, capsys):
         code = run(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -229,9 +231,59 @@ class TestHypothesisValidation:
         assert np.all(np.abs(eval_f(spec, tt, xx)) <= bound * (1 + 1e-9))
 
     def test_growth_constant_closed_form_scale(self):
-        # for the pure power, C_eps = max over xi of (xi^p - eps xi)/xi^p0
+        # for the pure power, C_eps = max over xi of (xi^p - eps xi)/xi^p0, attained at
+        # xi* = (eps (p0 - 1) / (p0 - p))^(1/(p-1)); no sample reaches above it
         spec = spec_with(amplitude=0.0)
         xi = np.geomspace(1e-4, 1e4, 2001)
-        expected = np.max((xi ** spec.p - 0.1 * xi).clip(min=0) / xi ** spec.p0)
-        got = growth_constant(spec, 0.1, np.array([0.0]), xi)
-        assert got == pytest.approx(expected, rel=1e-6)
+        sampled = np.max((xi ** spec.p - 0.1 * xi).clip(min=0) / xi ** spec.p0)
+        got = growth_constant(spec, 0.1)
+        star = (0.1 * (spec.p0 - 1.0) / (spec.p0 - spec.p)) ** (1.0 / (spec.p - 1.0))
+        assert got == pytest.approx((star ** spec.p - 0.1 * star) / star ** spec.p0, rel=1e-12)
+        assert got >= sampled
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, np.inf, np.nan])
+    def test_growth_constant_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            growth_constant(NonlinearitySpec(), epsilon)
+
+    def test_default_margins_are_exact(self):
+        report = validate_hypotheses(NonlinearitySpec())
+        margins = {c.name: c.margin for c in report.checks}
+        assert margins == {
+            "sign": 0.0,
+            "superquadratic": 0.0,
+            "small_at_zero": 2.0,
+            "growth_ceiling": 0.5,
+            "fiber_monotone": 2.0,
+            "autonomous_comparison": 0.5,
+        }
+        assert not np.signbit(report["sign"].margin)
+        # C = eps (p - 1)/(p0 - p) xi*^(1 - p0) with xi* = 3^(-1/2): 0.4 * 3^(5/4)
+        assert report.c_epsilon == pytest.approx(0.4 * 3.0 ** 1.25, rel=1e-12)
+        assert report.c_epsilon == pytest.approx(1.5792888155, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [53.0, 77.0, 100.0, 1e6])
+    def test_large_p_family_passes(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_hypotheses(NonlinearitySpec(p=p, theta=4.0, p0=p + 1.0))
+        assert report.all_passed
+        assert np.isfinite(report.c_epsilon) and report.c_epsilon > 0
+
+    @pytest.mark.parametrize("p, p0", [(3.0, 3.5), (10.0, 11.0), (52.0, 53.0)])
+    def test_certified_inequality_holds_and_is_tight(self, p, p0):
+        # f <= eps xi + C_eps xi^p0 at t = 0, where a peaks, on a dense grid, and
+        # C_eps is the least such constant: the bound is touched near xi*
+        spec = NonlinearitySpec(p=p, theta=4.0, p0=p0)
+        report = validate_hypotheses(spec)
+        xi = np.geomspace(1e-3, 1e3, 200001)
+        ratio = eval_f(spec, 0.0, xi) / (report.epsilon * xi + report.c_epsilon * xi ** p0)
+        assert np.max(ratio) <= 1.0
+        assert np.max(ratio) >= 1.0 - 1e-8
+
+    def test_p0_below_p_has_no_growth_constant(self):
+        report = validate_hypotheses(spec_with(p0=2.5))
+        assert report.c_epsilon == np.inf
+        for name in ("growth_ceiling", "autonomous_comparison"):
+            assert not report[name].passed
+            assert report[name].margin < 0

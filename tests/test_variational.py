@@ -186,6 +186,18 @@ class TestFiberMap:
         assert scan.values[-1] == -np.inf
         assert scan.derivative_sign_changes == 1
 
+    def test_zero_potential_is_no_positive_part(self, default_grid):
+        # a field with no positive part, and one whose every u_+^(p+1) flushes to 0
+        # at p = 1e20, have a zero potential and so no maximizer on the ray
+        negative = SpectralField.from_values(default_grid, -np.exp(-default_grid.nodes ** 2))
+        with pytest.raises(NoPositivePartError):
+            fiber_map(negative, SPEC, 0.75, [0.5, 2.0])
+        flushed = NonlinearitySpec(p=1e20, theta=4.0, p0=3.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoPositivePartError):
+                fiber_map(gaussian_field(default_grid), flushed, 0.75, [0.5, 2.0])
+
     def test_rejects_zero_field_and_bad_grid(self, default_grid):
         with pytest.raises(ValueError, match="nonzero"):
             fiber_map(zero_field(default_grid), SPEC, 0.75, [1.0])
