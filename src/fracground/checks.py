@@ -45,9 +45,11 @@ def random_band_limited_field(
     ``irfft`` drops the imaginary part of the zero mode.
     """
     n = grid.n_points
+    k0 = 1 if zero_mean else 0
     coeffs = np.zeros(n // 2 + 1, dtype=np.complex128)
-    for k in range(1 if zero_mean else 0, n // 8 + 1):
-        coeffs[k] = rng.normal() + 1j * rng.normal()
+    # one draw, in mode order: the real, then the imaginary part of each mode
+    real, imag = rng.normal(size=(n // 8 + 1 - k0, 2)).T
+    coeffs[k0 : n // 8 + 1] = real + 1j * imag
     values = np.fft.irfft(coeffs, n)
     values /= np.sqrt(grid.spacing * np.sum(values ** 2))
     return SpectralField.from_values(grid, values)

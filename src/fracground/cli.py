@@ -54,14 +54,21 @@ exit codes:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """Write payload, stamped with the schema version, as sorted, indented JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({"schema": SCHEMA_VERSION, **payload}, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write a header line and one comma-joined line of ``str`` cells per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _write_manifest(out_dir: str, subcommand: str, values: dict) -> None:
     manifest = {
-        "schema": SCHEMA_VERSION,
         "tool": "fracground",
         "version": __version__,
         "subcommand": subcommand,
@@ -72,7 +79,6 @@ def _write_manifest(out_dir: str, subcommand: str, values: dict) -> None:
 
 def _write_solve_artifacts(report: SolveReport, out_dir: str) -> None:
     payload = {
-        "schema": SCHEMA_VERSION,
         "level": report.level,
         "iterations": report.iterations,
         "converged": report.converged,
@@ -87,10 +93,8 @@ def _write_solve_artifacts(report: SolveReport, out_dir: str) -> None:
     }
     _write_json(os.path.join(out_dir, "report.json"), payload)
     field_to_csv(report.field, os.path.join(out_dir, "field.csv"))
-    with open(os.path.join(out_dir, "residuals.csv"), "w", encoding="utf-8") as fh:
-        fh.write("iteration,residual\n")
-        for i, res in enumerate(report.residual_history):
-            fh.write(f"{i},{res!r}\n")
+    residuals = enumerate(report.residual_history)
+    _write_csv(os.path.join(out_dir, "residuals.csv"), "iteration,residual", residuals)
 
 
 def _cmd_solve(values: dict, out_dir: str) -> int:
@@ -113,7 +117,6 @@ def _cmd_compare(values: dict, out_dir: str) -> int:
     config = build_solve_config(values)
     result = compare_levels(config)
     payload = {
-        "schema": SCHEMA_VERSION,
         "c": result.c,
         "c_bar": result.c_bar,
         "gap": result.gap,
@@ -136,10 +139,8 @@ def _cmd_fiber_scan(values: dict, out_dir: str) -> int:
     sigmas = np.geomspace(0.01, 10.0, 200)
     seed_field = config.init.build(config.grid())
     scan = fiber_map(seed_field, config.nonlinearity(), config.alpha, sigmas)
-    with open(os.path.join(out_dir, "fiber.csv"), "w", encoding="utf-8") as fh:
-        fh.write("sigma,psi\n")
-        for s, v in zip(scan.sigmas, scan.values):
-            fh.write(f"{float(s)!r},{float(v)!r}\n")
+    samples = zip(scan.sigmas.tolist(), scan.values.tolist())
+    _write_csv(os.path.join(out_dir, "fiber.csv"), "sigma,psi", samples)
     print(
         f"fiber scan: {len(sigmas)} samples on [{sigmas[0]:g}, {sigmas[-1]:g}], "
         f"slope sign changes={scan.derivative_sign_changes}"
@@ -150,10 +151,8 @@ def _cmd_fiber_scan(values: dict, out_dir: str) -> int:
 def _cmd_validate_ops(values: dict, out_dir: str) -> int:
     grid = make_grid(values["L"], values["N"])
     rows = conformance_checks(grid, values["alpha"])
-    with open(os.path.join(out_dir, "ops_residuals.csv"), "w", encoding="utf-8") as fh:
-        fh.write("check,alpha,residual,tolerance,passed\n")
-        for row in rows:
-            fh.write(f"{row.name},{row.alpha!r},{row.residual!r},{row.tolerance!r},{row.passed}\n")
+    cells = [(row.name, row.alpha, row.residual, row.tolerance, row.passed) for row in rows]
+    _write_csv(os.path.join(out_dir, "ops_residuals.csv"), "check,alpha,residual,tolerance,passed", cells)
     n_failed = sum(not row.passed for row in rows)
     print(f"validate-ops: {len(rows)} checks, {n_failed} failed")
     return 0 if n_failed == 0 else 1
@@ -163,7 +162,6 @@ def _cmd_validate_hypotheses(values: dict, out_dir: str) -> int:
     spec = build_spec(values)
     report = validate_hypotheses(spec)
     payload = {
-        "schema": SCHEMA_VERSION,
         "all_passed": report.all_passed,
         # no finite constant (p0 <= p) is null, as strict JSON has no Infinity
         "c_epsilon": report.c_epsilon if np.isfinite(report.c_epsilon) else None,

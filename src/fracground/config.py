@@ -36,25 +36,30 @@ def _as_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-# key -> (default, converter); each default is read from the dataclass that owns it
+# key -> (owner dataclass, field, converter): the one table of keys
+_KEYS: dict[str, tuple[type, str, Any]] = {
+    "L": (SolveConfig, "half_width", float),
+    "N": (SolveConfig, "n_points", int),
+    "alpha": (SolveConfig, "alpha", float),
+    "autonomous": (SolveConfig, "autonomous", _as_bool),
+    "p": (NonlinearitySpec, "p", float),
+    "theta": (NonlinearitySpec, "theta", float),
+    "p0": (NonlinearitySpec, "p0", float),
+    "a.kind": (Perturbation, "kind", str),
+    "a.amplitude": (Perturbation, "amplitude", float),
+    "a.width": (Perturbation, "width", float),
+    "init.kind": (InitSpec, "kind", str),
+    "init.center": (InitSpec, "center", float),
+    "init.width": (InitSpec, "width", float),
+    "init.amplitude": (InitSpec, "amplitude", float),
+    "init.path": (InitSpec, "path", str),
+    "max_iters": (SolveConfig, "max_iters", int),
+    "residual_tol": (SolveConfig, "residual_tol", float),
+}
+
+# key -> (default, converter), each default read from the field that owns the key
 DEFAULTS: dict[str, tuple[Any, Any]] = {
-    "L": (SolveConfig.half_width, float),
-    "N": (SolveConfig.n_points, int),
-    "alpha": (SolveConfig.alpha, float),
-    "autonomous": (SolveConfig.autonomous, _as_bool),
-    "p": (NonlinearitySpec.p, float),
-    "theta": (NonlinearitySpec.theta, float),
-    "p0": (NonlinearitySpec.p0, float),
-    "a.kind": (Perturbation.kind, str),
-    "a.amplitude": (Perturbation.amplitude, float),
-    "a.width": (Perturbation.width, float),
-    "init.kind": (InitSpec.kind, str),
-    "init.center": (InitSpec.center, float),
-    "init.width": (InitSpec.width, float),
-    "init.amplitude": (InitSpec.amplitude, float),
-    "init.path": (InitSpec.path, str),
-    "max_iters": (SolveConfig.max_iters, int),
-    "residual_tol": (SolveConfig.residual_tol, float),
+    key: (getattr(owner, name), convert) for key, (owner, name, convert) in _KEYS.items()
 }
 
 
@@ -91,30 +96,15 @@ def load_config(path: str | None, overrides: list[str]) -> dict[str, Any]:
     return resolved
 
 
+def _build(owner: type, values: dict[str, Any], **parts: Any) -> Any:
+    """The owner dataclass made from its keys' values and the nested parts it holds."""
+    fields = {name: values[key] for key, (cls, name, _) in _KEYS.items() if cls is owner}
+    return owner(**fields, **parts)
+
+
 def build_spec(values: dict[str, Any]) -> NonlinearitySpec:
-    perturbation = Perturbation(
-        kind=values["a.kind"], amplitude=values["a.amplitude"], width=values["a.width"]
-    )
-    return NonlinearitySpec(
-        p=values["p"], theta=values["theta"], p0=values["p0"], perturbation=perturbation
-    )
+    return _build(NonlinearitySpec, values, perturbation=_build(Perturbation, values))
 
 
 def build_solve_config(values: dict[str, Any]) -> SolveConfig:
-    init = InitSpec(
-        kind=values["init.kind"],
-        center=values["init.center"],
-        width=values["init.width"],
-        amplitude=values["init.amplitude"],
-        path=values["init.path"],
-    )
-    return SolveConfig(
-        half_width=values["L"],
-        n_points=values["N"],
-        alpha=values["alpha"],
-        spec=build_spec(values),
-        autonomous=values["autonomous"],
-        init=init,
-        max_iters=values["max_iters"],
-        residual_tol=values["residual_tol"],
-    )
+    return _build(SolveConfig, values, spec=build_spec(values), init=_build(InitSpec, values))

@@ -47,7 +47,7 @@ __all__ = [
 class Grid1D:
     """Uniform periodic grid on [-L, L) with the angular frequencies pi k / L, k = 0..N/2.
 
-    Equal and hashed by (L, N) alone, which fix the rest: per-grid tables are cached on the grid.
+    Equal and hashed by (L, N) alone, which fix the rest, so module caches of per-grid tables key on it.
     The nodes are made on their first read and kept, read-only.
     """
 

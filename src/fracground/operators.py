@@ -95,10 +95,18 @@ def validate_order(alpha: float, *, within: str = "derivative") -> float:
 # alpha is checked when a table is built, and lru_cache does not cache the error
 @functools.lru_cache(maxsize=8)
 def _even_symbols(grid: Grid1D, alpha: float) -> tuple[np.ndarray, ...]:
-    """Read-only ``|w|^(2 alpha)``, ``1 + |w|^(2 alpha)`` and its inverse, cached."""
+    """Read-only ``|w|^(2 alpha)``, ``1 + |w|^(2 alpha)``, its inverse and the pairing weights, cached.
+
+    The pairing weights are dw/2pi (1 + |w_k|^(2 alpha)) for k <= N/2, doubled
+    for 0 < k < N/2, each entry repeated for the real and the imaginary part;
+    dw/2pi = 1/(2L).
+    """
     alpha = validate_order(alpha)
     w_pow = grid.frequencies ** (2.0 * alpha)
-    symbols = (w_pow, w_pow + 1.0, 1.0 / (w_pow + 1.0))
+    k_symbol = w_pow + 1.0
+    half = k_symbol / (2.0 * grid.half_width)
+    half[1:-1] *= 2.0
+    symbols = (w_pow, k_symbol, 1.0 / k_symbol, np.repeat(half, 2))
     for sym in symbols:
         sym.flags.writeable = False
     return symbols
@@ -120,7 +128,7 @@ def multiplier_symbol(grid: Grid1D, alpha: float, kind: str) -> np.ndarray:
     if kind not in SYMBOL_KINDS:
         raise ValueError(f"unknown symbol kind {kind!r}")
     if kind in ("composed", "resolvent"):
-        composed, _, resolvent = _even_symbols(grid, alpha)
+        composed, _, resolvent, _ = _even_symbols(grid, alpha)
         return composed if kind == "composed" else resolvent
 
     validate_order(alpha, within="integral" if kind in ("left_int", "right_int") else "derivative")
@@ -341,22 +349,9 @@ def _pairing(grid: Grid1D, x: np.ndarray, y: np.ndarray, alpha: float) -> float:
 
     Mode -k mirrors mode k, so the sum over the stored modes k <= N/2 weights
     the interior ones twice; it is one dot of the interleaved real and
-    imaginary parts against the cached weights.
+    imaginary parts against the pairing weights, the fourth table of ``_even_symbols``.
     """
-    return float(_pairing_weights(grid, alpha) @ (x.view(np.float64) * y.view(np.float64)))
-
-
-@functools.lru_cache(maxsize=8)
-def _pairing_weights(grid: Grid1D, alpha: float) -> np.ndarray:
-    """Read-only dw/2pi (1 + |w_k|^(2 alpha)) for k <= N/2, doubled for 0 < k < N/2,
-    each entry repeated for the real and the imaginary part; dw/2pi = 1/(2L).
-    The even-symbol builder checks alpha."""
-    _, k_symbol, _ = _even_symbols(grid, alpha)
-    half = k_symbol / (2.0 * grid.half_width)
-    half[1:-1] *= 2.0
-    weights = np.repeat(half, 2)
-    weights.flags.writeable = False
-    return weights
+    return float(_even_symbols(grid, alpha)[3] @ (x.view(np.float64) * y.view(np.float64)))
 
 
 def h_alpha_norm(u: SpectralField, alpha: float) -> HAlphaNorm:
@@ -371,7 +366,7 @@ def h_alpha_norm(u: SpectralField, alpha: float) -> HAlphaNorm:
     statement.
     """
     grid = u.grid
-    w_pow, _, _ = _even_symbols(grid, alpha)
+    w_pow, _, _, _ = _even_symbols(grid, alpha)
     semi_sq = grid.frequency_step / (2.0 * np.pi) * float(np.sum(w_pow * _mode_power(u.spectrum)))
     time_semi = lp_norm(apply_multiplier(u, multiplier_symbol(grid, alpha, "left_deriv")), 2)
     return HAlphaNorm(math.sqrt(semi_sq), math.sqrt(h_alpha_norm_sq(u, alpha)), time_semi)

@@ -36,6 +36,7 @@ from .variational import (
     _potential,
     _segment_bounds,
     _segment_energies,
+    _segment_norms,
     _translation_invariant,
     energy,
     gradient,
@@ -368,22 +369,23 @@ def mountain_pass_path(
       Parseval), and f(t, xi) xi = (p + 1) F(t, xi);
     - a node resampled at (1 - lam) a + lam b has
       N = (1 - lam) N(a) + lam N(b) - lam (1 - lam) ||b - a||_alpha^2, with
-      ||b - a||_alpha the segment's arclength.
+      ||b - a||_alpha the segment's arclength (``variational._segment_norms``).
     So a trial step or a resampled node costs one potential (``_potential``,
     one dot) on its values, and only an accepted step or a resampled node is
     made into a field, once, with its spectrum combined linearly.
 
     The maximum on a segment is located by nine nested levels of 17 samples
-    (to 16^-9 in its parameter, where E is a closed-form quadratic in the
-    carried norms and <a, b>_alpha minus one stacked potential evaluation per
-    level).  Segments are sampled in order of a falling upper bound of E on
-    them (``variational._segment_bounds``, which reads the carried norms and
-    potentials and returns each <a, b>_alpha), and the search stops at the first
-    bound below the best sampled energy less a 1e-12 relative margin: no
-    later segment can hold a larger sample, so the maximum is the one over
-    all segments.  The path is held as fields, whose arithmetic carries the
-    spectrum, so only the seed and the gradients (two transforms each) make
-    transforms; norms and distances read only the half spectrum k <= N/2.
+    (to 16^-9 in its parameter, where E is the same closed-form quadratic in
+    the carried norms and the chord ||b - a||_alpha^2 minus one stacked
+    potential evaluation per level).  The chords of the final path are
+    computed once.  Segments are sampled in order of a falling upper bound of
+    E on them (``variational._segment_bounds``, which reads the carried norms,
+    potentials and chords), and the search stops at the first bound below the
+    best sampled energy less a 1e-12 relative margin: no later segment can
+    hold a larger sample, so the maximum is the one over all segments.  The
+    path is held as fields, whose arithmetic carries the spectrum, so only
+    the seed and the gradients (two transforms each) make transforms; norms
+    and distances read only the half spectrum k <= N/2.
     """
     if n_nodes < 5:
         raise ValueError(f"need at least 5 path nodes, got {n_nodes}")
@@ -449,10 +451,7 @@ def mountain_pass_path(
             a, b = nodes[seg], nodes[seg + 1]
             values = (1.0 - lam) * a.values + lam * b.values
             path[i] = SpectralField._join(grid, values, (1.0 - lam) * a.spectrum + lam * b.spectrum)
-            norms[i] = (
-                (1.0 - lam) * node_norms[seg] + lam * node_norms[seg + 1]
-                - lam * (1.0 - lam) * chords[seg]
-            )
+            norms[i] = _segment_norms(lam, node_norms[seg], chords[seg], node_norms[seg + 1])
             potentials[i] = _potential(spec, grid, values)
 
     initial_energies = energies()
@@ -471,15 +470,16 @@ def mountain_pass_path(
         reparametrize()
         sweep_max.append(max(energies()))
 
-    bounds, crosses = _segment_bounds(path, norms, potentials, spec, alpha)
+    chords = [distance_sq(a, b) for a, b in zip(path, path[1:])]
+    bounds = _segment_bounds(path, norms, potentials, chords, spec)
     path_max, searched = -np.inf, 0
     for i in np.argsort(-bounds, kind="stable"):
         if bounds[i] < path_max - _BOUND_MARGIN * abs(path_max):
             break
-        lo, hi, pairings = 0.0, 1.0, (norms[i], crosses[i], norms[i + 1])
+        lo, hi, segment = 0.0, 1.0, (norms[i], chords[i], norms[i + 1])
         for _ in range(9):
             samples = np.linspace(lo, hi, 17)
-            vals = _segment_energies(path[i], path[i + 1], pairings, spec, samples)
+            vals = _segment_energies(path[i], path[i + 1], segment, spec, samples)
             j = int(np.argmax(vals))
             path_max = max(path_max, vals[j])
             lo, hi = max(0.0, samples[j] - (hi - lo) / 16), min(1.0, samples[j] + (hi - lo) / 16)

@@ -22,14 +22,7 @@ from .errors import NoPositivePartError
 from .grid import Grid1D, SpectralField, translate
 # eval_df is unused here; bench/tracer.py binds it in this module and fails if it is missing
 from .nonlinearity import NonlinearitySpec, _coefficient, _power_plus, eval_F, eval_df, eval_f
-from .operators import (
-    _even_symbols,
-    _pairing,
-    apply_multiplier,
-    h_alpha_norm_sq,
-    multiplier_symbol,
-    validate_order,
-)
+from .operators import _even_symbols, apply_multiplier, h_alpha_norm_sq, multiplier_symbol, validate_order
 
 __all__ = [
     "EnergyBreakdown",
@@ -67,7 +60,7 @@ class GradientResult:
     @property
     def raw_residual(self) -> SpectralField:
         """The L2 residual K u - f(., u), K = 1 + |w|^(2 alpha), made on demand (one transform)."""
-        _, k_symbol, _ = _even_symbols(self.precond_gradient.grid, self.alpha)
+        _, k_symbol, _, _ = _even_symbols(self.precond_gradient.grid, self.alpha)
         return apply_multiplier(self.precond_gradient, k_symbol)
 
 
@@ -98,40 +91,40 @@ def _potential(spec: NonlinearitySpec, grid: Grid1D, values: np.ndarray) -> floa
     return grid.spacing / power * float(_coefficient(spec, grid) @ _power_plus(values, power))
 
 
-def _segment_quadratic(lam, norm_a, cross, norm_b):
-    """||(1 - lam) a + lam b||_alpha^2 / 2 from ||a||_alpha^2, <a, b>_alpha and ||b||_alpha^2:
-    (1 - lam)^2 ||a||^2 + 2 lam (1 - lam) <a, b>_alpha + lam^2 ||b||^2, halved."""
-    return 0.5 * ((1.0 - lam) ** 2 * norm_a + 2.0 * lam * (1.0 - lam) * cross + lam ** 2 * norm_b)
+def _segment_norms(lam, norm_a, chord_sq, norm_b):
+    """||(1 - lam) a + lam b||_alpha^2 from ||a||_alpha^2, the chord ||b - a||_alpha^2 and ||b||_alpha^2:
+    (1 - lam) ||a||^2 + lam ||b||^2 - lam (1 - lam) ||b - a||^2."""
+    return (1.0 - lam) * norm_a + lam * norm_b - lam * (1.0 - lam) * chord_sq
 
 
 def _segment_energies(
-    a: SpectralField, b: SpectralField, pairings: tuple[float, float, float], spec: NonlinearitySpec, lams
+    a: SpectralField, b: SpectralField, norms: tuple[float, float, float], spec: NonlinearitySpec, lams
 ) -> np.ndarray:
     """E((1 - lam) a + lam b) for every lam in the array lams, the quadratic part in closed form.
 
-    Along the segment ||.||_alpha^2 is a quadratic in lam whose coefficients
-    are pairings = (||a||_alpha^2, <a, b>_alpha, ||b||_alpha^2); the
-    potential is one ``eval_F`` call on the stack of the combined values.
+    The quadratic part is ``_segment_norms`` of norms = (||a||_alpha^2,
+    ||b - a||_alpha^2, ||b||_alpha^2), halved; the potential is one ``eval_F``
+    call on the stack of the combined values.
     """
     grid = a.grid
     stack = (1.0 - lams)[:, None] * a.values + lams[:, None] * b.values
-    return _segment_quadratic(lams, *pairings) - grid.spacing * np.sum(eval_F(spec, grid, stack), axis=1)
+    return 0.5 * _segment_norms(lams, *norms) - grid.spacing * np.sum(eval_F(spec, grid, stack), axis=1)
 
 
 def _segment_bounds(
-    path: list[SpectralField], norms: list, potentials: list, spec: NonlinearitySpec, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """An upper bound of E on each segment (1 - lam) a + lam b of a polyline, and <a, b>_alpha.
+    path: list[SpectralField], norms: list, potentials: list, chords: list, spec: NonlinearitySpec
+) -> np.ndarray:
+    """An upper bound of E on each segment (1 - lam) a + lam b of a polyline.
 
     Along a segment E = Q - P, where Q = ||.||_alpha^2 / 2 is a convex
-    quadratic in lam, from the nodes' ``norms`` ||u||_alpha^2, and
-    P = h sum F(t, .), from their ``potentials``, is convex and >= 0 (F(t, .)
-    is convex, with a >= 0).  So P lies above 0 and above its tangent lines at
-    both ends, P(0) + lam P'(0) and P(1) - (1 - lam) P'(1), where
-    P'(0) = h sum f(t, a)(b - a) and P'(1) = h sum f(t, b)(b - a), and
-    U = Q - max(0, both tangents) >= E.  Between the crossings of the three
-    lines U is convex, so its maximum over [0, 1] is its largest value at 0,
-    1 or a crossing.
+    quadratic in lam, from the nodes' ``norms`` ||u||_alpha^2 and the
+    segments' ``chords`` ||b - a||_alpha^2, and P = h sum F(t, .), from their
+    ``potentials``, is convex and >= 0 (F(t, .) is convex, with a >= 0).  So P
+    lies above 0 and above its tangent lines at both ends, P(0) + lam P'(0)
+    and P(1) - (1 - lam) P'(1), where P'(0) = h sum f(t, a)(b - a) and
+    P'(1) = h sum f(t, b)(b - a), and U = Q - max(0, both tangents) >= E.
+    Between the crossings of the three lines U is convex, so its maximum over
+    [0, 1] is its largest value at 0, 1 or a crossing.
     """
     grid, h = path[0].grid, path[0].grid.spacing
     force = [eval_f(spec, grid, u.values) for u in path]
@@ -140,15 +133,14 @@ def _segment_bounds(
     p0, p1 = pot[:-1, None], pot[1:, None]
     d0 = h * np.array([f @ step for f, step in zip(force, steps)])[:, None]
     d1 = h * np.array([f @ step for f, step in zip(force[1:], steps)])[:, None]
-    cross = np.array([_pairing(grid, a.spectrum, b.spectrum, alpha) for a, b in zip(path, path[1:])])
     with np.errstate(divide="ignore", invalid="ignore"):
         # where each tangent meets 0, and where the two tangents meet
         crossings = np.hstack([-p0 / d0, (d1 - p1) / d1, (p1 - d1 - p0) / (d0 - d1)])
-    ends = np.broadcast_to([0.0, 1.0], (len(cross), 2))
+    ends = np.broadcast_to([0.0, 1.0], (len(steps), 2))
     lam = np.hstack([ends, np.clip(np.nan_to_num(crossings), 0.0, 1.0)])
-    quad = _segment_quadratic(lam, norms[:-1, None], cross[:, None], norms[1:, None])
+    quad = 0.5 * _segment_norms(lam, norms[:-1, None], np.array(chords)[:, None], norms[1:, None])
     lines = np.maximum(0.0, np.maximum(p0 + lam * d0, p1 - (1.0 - lam) * d1))
-    return np.max(quad - lines, axis=1), cross
+    return np.max(quad - lines, axis=1)
 
 
 @dataclass(frozen=True)

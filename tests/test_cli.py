@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,9 +7,10 @@ import sys
 import pytest
 
 from fracground.cli import run
-from fracground.config import DEFAULTS
+from fracground.config import _KEYS, DEFAULTS, build_solve_config, build_spec, load_config
+from fracground.nonlinearity import NonlinearitySpec, Perturbation
 from fracground.grid import field_from_csv
-from fracground.solver import WINDOW_RADIUS, vanishing_diagnostic
+from fracground.solver import WINDOW_RADIUS, InitSpec, SolveConfig, vanishing_diagnostic
 
 FAST = [
     "--set", "N=1024",
@@ -55,8 +57,8 @@ class TestSolveCommand:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         # recentre is no key: recentring is a fixed step before descent;
         # tau is no key: every descent step starts at the full Petviashvili step;
-        # the mass window, the operator-check seed, the fiber-scan range and
-        # the hypothesis sampling box are constants
+        # the mass window, the operator-check seed and the fiber-scan range are
+        # constants; the hypotheses are checked in closed form, so no hyp.* key exists
         for item in (
             "alpa=0.7", "recentre=true", "tau=1", "window_radius=0.001", "seed=1",
             "fiber.sigma_min=0.01", "fiber.sigma_max=10", "fiber.count=50",
@@ -148,6 +150,37 @@ def assert_one_error_line(capsys):
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "Traceback" not in err
     return err
+
+
+#: a value other than the default for every key
+NON_DEFAULT = {
+    "L": "32", "N": "2048", "alpha": "0.6", "autonomous": "true", "p": "2.5", "theta": "3.5",
+    "p0": "3", "a.kind": "rational", "a.amplitude": "2", "a.width": "3", "init.kind": "custom",
+    "init.center": "1.5", "init.width": "3", "init.amplitude": "2", "init.path": "field.csv",
+    "max_iters": "50", "residual_tol": "1e-6",
+}
+
+
+class TestKeyTable:
+    def test_defaults_build_the_default_dataclasses(self):
+        values = load_config(None, [])
+        assert build_solve_config(values) == SolveConfig()
+        assert build_spec(values) == NonlinearitySpec()
+
+    def test_every_key_lands_on_its_field(self):
+        assert NON_DEFAULT.keys() == DEFAULTS.keys()
+        for key, raw in NON_DEFAULT.items():
+            owner, name, convert = _KEYS[key]
+            value = convert(raw)
+            assert value != DEFAULTS[key][0], key
+            # the default of every owner, with this one field replaced
+            parts = {cls: cls() for cls in (SolveConfig, NonlinearitySpec, Perturbation, InitSpec)}
+            parts[owner] = dataclasses.replace(parts[owner], **{name: value})
+            spec = dataclasses.replace(parts[NonlinearitySpec], perturbation=parts[Perturbation])
+            expected = dataclasses.replace(parts[SolveConfig], spec=spec, init=parts[InitSpec])
+            values = load_config(None, [f"{key}={raw}"])
+            assert build_solve_config(values) == expected, key
+            assert build_spec(values) == spec, key
 
 
 class TestInvalidInput:

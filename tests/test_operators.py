@@ -28,7 +28,6 @@ from fracground.operators import (
     TAIL_BAND_START,
     _even_symbols,
     _pairing,
-    _pairing_weights,
     _check_support_margin,
     _tail_mass,
     apply_multiplier,
@@ -67,12 +66,13 @@ class TestSymbols:
 
     def test_even_tables_are_shared_by_equal_grids(self):
         first, second, other = make_grid(8.0, 64), make_grid(8.0, 64), make_grid(8.0, 128)
-        symbols, weights = _even_symbols(first, 0.75), _pairing_weights(first, 0.75)
+        symbols = _even_symbols(first, 0.75)
+        weights = symbols[3]  # the pairing weights
         assert not any(arr.flags.writeable for arr in (*symbols, weights))
         assert all(a is b for a, b in zip(_even_symbols(second, 0.75), symbols))
-        assert _pairing_weights(second, 0.75) is weights
+        assert _even_symbols(second, 0.75)[3] is weights
         assert not any(a is b for a, b in zip(_even_symbols(other, 0.75), symbols))
-        assert _pairing_weights(other, 0.75) is not weights
+        assert _even_symbols(other, 0.75)[3] is not weights
 
     def test_branch_product_is_even_symbol(self, default_grid):
         # (iw)^a (-iw)^a = |w|^(2a) with exactly cancelling imaginary parts
@@ -468,6 +468,22 @@ class TestConformanceSuite:
         assert rows, "no checks ran"
         for row in rows:
             assert row.passed, f"{row.name}: {row.residual:.3e} >= {row.tolerance:.0e}"
+
+    @pytest.mark.parametrize("zero_mean", [False, True])
+    def test_random_field_equals_the_per_mode_draws_bit_for_bit(self, default_grid, zero_mean):
+        # the reference draws the real, then the imaginary part, mode by mode
+        n = default_grid.n_points
+        coeffs = np.zeros(n // 2 + 1, dtype=np.complex128)
+        reference_rng = np.random.default_rng(7)
+        for k in range(1 if zero_mean else 0, n // 8 + 1):
+            coeffs[k] = reference_rng.normal() + 1j * reference_rng.normal()
+        values = np.fft.irfft(coeffs, n)
+        values /= np.sqrt(default_grid.spacing * np.sum(values ** 2))
+        rng = np.random.default_rng(7)
+        u = random_band_limited_field(default_grid, rng, zero_mean=zero_mean)
+        assert np.array_equal(u.values, values)
+        # and it leaves the generator where the reference did
+        assert rng.normal() == reference_rng.normal()
 
 
 def _fresh_field(grid, center=3.0, width=1.0):

@@ -22,8 +22,8 @@ from fracground import (
 )
 from fracground import variational
 from fracground.checks import random_band_limited_field
-from fracground.operators import _even_symbols, _pairing, apply_multiplier
-from fracground.variational import _segment_bounds, _segment_energies
+from fracground.operators import _even_symbols, apply_multiplier
+from fracground.variational import _segment_bounds, _segment_energies, _segment_norms
 
 SPEC = NonlinearitySpec()
 
@@ -98,7 +98,7 @@ class TestGradient:
     @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0])
     def test_raw_residual_is_k_u_minus_f(self, default_grid, alpha):
         u = gaussian_field(default_grid, center=0.4, width=1.7, amplitude=1.3)
-        _, k_symbol, _ = _even_symbols(default_grid, alpha)
+        _, k_symbol, _, _ = _even_symbols(default_grid, alpha)
         for spec in (SPEC, SPEC.autonomous()):
             direct = apply_multiplier(u, k_symbol).values - eval_f(spec, default_grid.nodes, u.values)
             raw = gradient(u, spec, alpha).raw_residual.values
@@ -108,17 +108,27 @@ class TestGradient:
 class TestSegmentEnergies:
     @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0])
     def test_closed_form_matches_energy(self, default_grid, alpha):
-        # two different shapes, so the cross term <a, b>_alpha is exercised
+        # two different shapes, so the chord ||b - a||_alpha is exercised
         a = gaussian_field(default_grid, center=-1.0, width=1.5, amplitude=0.8)
         b = gaussian_field(default_grid, center=1.0, width=2.5, amplitude=2.4)
         lams = np.linspace(0.0, 1.0, 17)
-        pairings = (h_alpha_norm_sq(a, alpha), _pairing(default_grid, a.spectrum, b.spectrum, alpha),
-                    h_alpha_norm_sq(b, alpha))
+        norms = (h_alpha_norm_sq(a, alpha), h_alpha_norm_sq(b - a, alpha), h_alpha_norm_sq(b, alpha))
         for spec in (SPEC, SPEC.autonomous()):
-            closed = _segment_energies(a, b, pairings, spec, lams)
+            closed = _segment_energies(a, b, norms, spec, lams)
             direct = np.array([energy((1.0 - lam) * a + lam * b, spec, alpha).total for lam in lams])
             assert np.all(np.abs(closed - direct) <= 1e-13 * np.abs(direct))
 
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0])
+    def test_chord_identity_matches_the_combined_norm(self, default_grid, alpha):
+        # ||(1 - lam) a + lam b||^2 = (1 - lam) ||a||^2 + lam ||b||^2 - lam (1 - lam) ||b - a||^2
+        a = gaussian_field(default_grid, center=-1.0, width=1.5, amplitude=0.8)
+        b = gaussian_field(default_grid, center=1.0, width=2.5, amplitude=2.4)
+        lams = np.linspace(0.0, 1.0, 65)
+        closed = _segment_norms(
+            lams, h_alpha_norm_sq(a, alpha), h_alpha_norm_sq(b - a, alpha), h_alpha_norm_sq(b, alpha)
+        )
+        direct = np.array([h_alpha_norm_sq((1.0 - lam) * a + lam * b, alpha) for lam in lams])
+        assert np.all(np.abs(closed - direct) <= 1e-14 * direct)
 
     @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0])
     def test_bound_covers_dense_samples(self, small_grid, rng, alpha):
@@ -135,9 +145,10 @@ class TestSegmentEnergies:
                 for pair in ((zero_field(small_grid), b), (a, b), (noise, b), (a, 2.5 * a)):
                     parts = [energy(u, spec, alpha) for u in pair]
                     norms = [2.0 * part.quadratic for part in parts]
-                    bound, cross = _segment_bounds(list(pair), norms, [part.potential for part in parts],
-                                                   spec, alpha)
-                    sampled = np.max(_segment_energies(*pair, (norms[0], cross[0], norms[1]), spec, lams))
+                    chords = [h_alpha_norm_sq(pair[1] - pair[0], alpha)]
+                    bound = _segment_bounds(list(pair), norms, [part.potential for part in parts],
+                                            chords, spec)
+                    sampled = np.max(_segment_energies(*pair, (norms[0], chords[0], norms[1]), spec, lams))
                     assert bound.shape == (1,)
                     assert bound[0] >= sampled - 1e-12 * abs(sampled)
 
