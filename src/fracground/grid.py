@@ -15,15 +15,22 @@ transforms to near machine precision.
 
 Values are real, so u_hat(-w) = conj u_hat(w) and the modes k = 0..N/2 carry
 the whole spectrum: every spectrum, frequency array and multiplier symbol has
-length N/2 + 1.  The forward transform is ``rfft`` and the inverse ``irfft``.
-Modes 0 and N/2 are their own mirrors, so in the spectrum of a real field they
-are real; ``irfft`` drops their imaginary parts, and the inverse reports the
-L2 norm of what it dropped.
+length N/2 + 1.  The forward transform is ``rfft`` and the inverse ``irfft``
+below SPLIT_TRANSFORM_MIN_LENGTH points.  From there on, when 4 divides N,
+each is taken as two half-length transforms of the even and the odd samples,
+run at once on two threads and joined by one radix-2 twiddle level (Bailey,
+J. Supercomputing 4, 1990): the halves fit in cache where the whole transform
+does not, and numpy's FFT releases the interpreter lock.  Modes 0 and N/2 are
+their own mirrors, so in the spectrum of a real field they are real; both
+inverses drop their imaginary parts, and report the L2 norm of what they
+dropped.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +48,11 @@ __all__ = [
     "field_to_csv",
     "field_from_csv",
 ]
+
+#: transform length from which, when 4 divides it, a real transform is taken
+#: as two half-length ones on two threads; shorter ones save less than the
+#: thread start costs
+SPLIT_TRANSFORM_MIN_LENGTH = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -110,9 +122,9 @@ class SpectralField:
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
         """``h (-1)^k rfft(values)`` on the modes k <= N/2, read-only."""
-        spectrum = np.fft.rfft(self.values)
-        spectrum[0::2] *= self.grid.spacing
-        spectrum[1::2] *= -self.grid.spacing
+        values = self.values
+        spectrum = _split_rfft(values) if _splits(values.size) else np.fft.rfft(values)
+        _alternate(spectrum, self.grid.spacing)
         spectrum.flags.writeable = False
         return spectrum
 
@@ -179,8 +191,10 @@ class SpectralField:
 def values_from_spectrum(grid: Grid1D, spectrum: np.ndarray) -> tuple[np.ndarray, float]:
     """Invert a spectrum of modes k <= N/2 to real values; return (values, L2 of imaginary residue).
 
-    The values are ``irfft`` of the spectrum with its phase and h undone.
-    ``irfft`` drops the imaginary parts of modes 0 and N/2; kept, they would
+    The values are ``irfft`` of the spectrum with its phase and h undone, or
+    the same values by two half-length inverses on two threads from
+    SPLIT_TRANSFORM_MIN_LENGTH points on.  Both drop the imaginary parts of
+    modes 0 and N/2; kept, they would
     add an imaginary constant and an imaginary (-1)^j wave to the values,
     whose discrete L2 norm ``hypot(Im S_0, Im S_N/2) / sqrt(N h)`` is returned:
     zero for the spectrum of a field, and the measure of how far an applied
@@ -194,9 +208,134 @@ def values_from_spectrum(grid: Grid1D, spectrum: np.ndarray) -> tuple[np.ndarray
         raise ValueError("spectrum entries must be finite")
     n, h = grid.n_points, grid.spacing
     imag_l2 = float(np.hypot(spectrum[0].imag, spectrum[m].imag) / np.sqrt(n * h))
+    if _splits(n):
+        return _split_irfft(spectrum, h), imag_l2
     scaled = spectrum / h
     scaled[1::2] *= -1.0
     return np.fft.irfft(scaled, n), imag_l2
+
+
+# -- split transforms ---------------------------------------------------------
+#
+# With E and O the rffts of the n/2 even and odd samples and W = exp(-2 pi i / n),
+# the rfft X of all n samples is, for k <= n/4,
+#
+#     X_k = E_k + W^k O_k,    X_(n/2 - k) = conj(E_k - W^k O_k),
+#
+# and conversely E_k = (X_k + conj X_(n/2-k)) / 2, O_k = W^-k (X_k - conj X_(n/2-k)) / 2.
+# Every array the halves write is made on the calling thread and handed to
+# them: the C allocator keeps what a worker thread freed for that thread's own
+# later use, so arrays made there would add to the process's peak memory.
+
+
+def _splits(n: int) -> bool:
+    return n >= SPLIT_TRANSFORM_MIN_LENGTH and n % 4 == 0
+
+
+def _run_pair(first: Callable[[], object], second: Callable[[], object]) -> tuple[object, object]:
+    """Call ``first`` here and ``second`` on a worker thread at the same time; return both results.
+
+    The worker is joined before this returns or raises.  An exception raised by
+    ``second`` is raised here, unless ``first`` raised one, which wins.
+    """
+    outcome = {}
+
+    def work():
+        try:
+            outcome["result"] = second()
+        except BaseException as exc:  # raised again in the calling thread
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        result = first()
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return result, outcome["result"]
+
+
+def _alternate(x: np.ndarray, scale: float) -> None:
+    """Multiply x_k by scale * (-1)^k in place."""
+    x[0::2] *= scale
+    x[1::2] *= -scale
+
+
+@functools.lru_cache(maxsize=8)
+def _twiddles(n: int, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """exp(sign 2 pi i k / n) for k <= n/4 as ``coarse[k // B] * fine[k % B]``, read-only.
+
+    B is the power of two near sqrt(n/4), so each table holds about sqrt(n/4) entries.
+    """
+    quarter = n // 4
+    cols = 1 << (quarter.bit_length() // 2)
+    step = sign * 2.0 * np.pi / n
+    fine = np.exp(1j * step * np.arange(cols))
+    coarse = np.exp(1j * (step * cols) * np.arange(quarter // cols + 2))
+    fine.flags.writeable = coarse.flags.writeable = False
+    return fine, coarse
+
+
+def _twist(x: np.ndarray, n: int, sign: float) -> None:
+    """Multiply the n/4 + 1 entries x_k by exp(sign 2 pi i k / n) in place, row by row of B entries."""
+    fine, coarse = _twiddles(n, sign)
+    rows = x.size // fine.size
+    body = x[: rows * fine.size].reshape(rows, fine.size)
+    body *= fine
+    body *= coarse[:rows, None]
+    tail = x[rows * fine.size :]
+    tail *= fine[: tail.size]
+    tail *= coarse[rows]
+
+
+def _split_rfft(values: np.ndarray) -> np.ndarray:
+    """``rfft(values)`` from the rffts of the even and the odd samples, taken on two threads."""
+    quarter = values.size // 4
+    spectrum = np.empty(2 * quarter + 1, dtype=np.complex128)
+    odd = np.empty(quarter + 1, dtype=np.complex128)
+    _run_pair(
+        lambda: np.fft.rfft(values[0::2], out=spectrum[: quarter + 1]),
+        lambda: np.fft.rfft(values[1::2], out=odd),
+    )
+    _twist(odd, values.size, -1.0)
+    # the even rfft E_k fills S_k; S_(n/2-k) and then S_k take their parts from it
+    lower, upper = spectrum[:quarter], spectrum[:quarter:-1]
+    np.subtract(lower, odd[:quarter], out=upper)
+    np.conjugate(upper, out=upper)
+    lower += odd[:quarter]
+    spectrum[quarter] = np.conj(spectrum[quarter] - odd[quarter])
+    return spectrum
+
+
+def _split_irfft(spectrum: np.ndarray, h: float) -> np.ndarray:
+    """``irfft`` of ``(-1)^k spectrum / h`` by two half-length inverses on two threads.
+
+    Each half is inverted into its own contiguous row, where the inverse needs
+    no buffer of its own, and the rows are interleaved once both are done and
+    the half spectra are freed.
+    """
+    half = spectrum.size - 1
+    quarter = half // 2
+    head = spectrum[: quarter + 1]
+    even = np.conjugate(spectrum[quarter:][::-1])
+    odd = np.subtract(head, even)
+    even += head
+    # (-1)^(n/2 - k) = (-1)^k, as 4 divides n
+    _alternate(even, 0.5 / h)
+    _alternate(odd, 0.5 / h)
+    _twist(odd, 2 * half, 1.0)
+    samples = np.empty((2, half))
+    _run_pair(
+        lambda: np.fft.irfft(even, half, out=samples[0]),
+        lambda: np.fft.irfft(odd, half, out=samples[1]),
+    )
+    del even, odd
+    values = np.empty(2 * half)
+    values[0::2] = samples[0]
+    values[1::2] = samples[1]
+    return values
 
 
 def _mode_power(spectrum: np.ndarray) -> np.ndarray:

@@ -25,7 +25,11 @@ run, of r points, is transformed once at a power-of-two length p of about
 four run lengths, and each block of p - r + 1 weights is transformed,
 multiplied and added into the output.  Transforms of p points stay near cache
 size, where one product of the whole sequences at N or 2N points does not.
-The oracle's output field holds the array that the oracle built.
+The blocks run on two threads in two phases, the even blocks and then the odd
+ones: blocks two apart write disjoint output, and each output term is the sum
+of at most two block terms whatever the order, so the result is the serial
+one bit for bit.  The oracle's output field holds the array that the oracle
+built.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SpectralTailWarning, ZeroModeSingularError
-from .grid import Grid1D, SpectralField, _mode_power, lp_norm, values_from_spectrum
+from .grid import Grid1D, SpectralField, _mode_power, _run_pair, lp_norm, values_from_spectrum
 
 __all__ = [
     "validate_order",
@@ -254,7 +258,9 @@ def fftconvolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     a is transformed at p, multiplied, inverted and added into the output at
     its offset.  When the pair fits in one block (p = m, always so when b is
     the longer one) this is the one product of the whole sequences, in the
-    same order, bit for bit.
+    same order, bit for bit.  Otherwise p >= 4 r, so a block's p terms of
+    output reach less than two blocks ahead: the even blocks, and then the
+    odd ones, are added two threads at a time, to the same bits as one loop.
 
     Blocks raise the roundoff of each term above that of the one product,
     whose padding spreads it over more terms; at p >= 4 r it stays near the
@@ -266,11 +272,20 @@ def fftconvolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     step = p - r + 1
     b_spectrum = np.fft.rfft(b, p)
     out = np.zeros(min(n, m))
-    for start in range(0, min(len(a), out.size), step):
-        prod = np.fft.rfft(a[start : start + step], p)
-        prod *= b_spectrum
-        head = out[start : start + p]
-        head += np.fft.irfft(prod, p)[: head.size]
+
+    def add_blocks(starts: range) -> None:
+        for start in starts:
+            prod = np.fft.rfft(a[start : start + step], p)
+            prod *= b_spectrum
+            head = out[start : start + p]
+            head += np.fft.irfft(prod, p)[: head.size]
+
+    starts = range(0, min(len(a), out.size), step)
+    if len(starts) < 3:  # no phase holds two blocks
+        add_blocks(starts)
+    else:
+        for phase in (starts[0::2], starts[1::2]):
+            _run_pair(functools.partial(add_blocks, phase[0::2]), functools.partial(add_blocks, phase[1::2]))
     return out
 
 

@@ -1,3 +1,5 @@
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -18,8 +20,9 @@ from fracground import (
     spectral_l2_norm,
     translate,
 )
+from fracground import grid as grid_module
 from fracground.checks import random_band_limited_field
-from fracground.grid import values_from_spectrum
+from fracground.grid import _run_pair, values_from_spectrum
 from fracground.operators import h_alpha_norm_sq
 
 
@@ -197,6 +200,105 @@ class TestLazySpectrum:
         in_oracle = len(rfft_calls)  # the convolution's own transforms
         _ = out.spectrum, u.spectrum  # each first read makes one transform
         assert len(rfft_calls) == in_oracle + 2
+
+
+def _single_call(grid, values):
+    """The calibrated spectrum by one rfft and the values back by one irfft."""
+    signs = (-1.0) ** np.arange(grid.nyquist_index + 1)
+    spectrum = grid.spacing * (signs * np.fft.rfft(values))
+    scaled = spectrum / grid.spacing
+    scaled[1::2] *= -1.0
+    return spectrum, np.fft.irfft(scaled, grid.n_points)
+
+
+class TestSplitTransforms:
+    """From SPLIT_TRANSFORM_MIN_LENGTH points, when 4 divides N, each transform is two halves on two threads."""
+
+    @pytest.mark.parametrize("n_points", [2 ** 18, 2 ** 19])
+    def test_split_transforms_match_the_single_calls(self, rng, n_points):
+        grid = make_grid(1024.0, n_points)
+        values = rng.standard_normal(n_points)  # white noise fills every mode
+        spectrum, back = _single_call(grid, values)
+        split = SpectralField.from_values(grid, values).spectrum
+        assert np.max(np.abs(split - spectrum)) <= 2e-15 * np.max(np.abs(spectrum))
+        split_back, imag_l2 = values_from_spectrum(grid, spectrum)
+        assert np.max(np.abs(split_back - back)) <= 2e-15 * np.max(np.abs(back))
+        assert imag_l2 == 0.0
+
+    def test_split_inverse_drops_the_imaginary_parts_of_modes_zero_and_nyquist(self, rng, monkeypatch):
+        grid = make_grid(1024.0, 2 ** 18)
+        m = grid.nyquist_index
+        spectrum = SpectralField.from_values(grid, rng.standard_normal(grid.n_points)).spectrum.copy()
+        plain, _ = values_from_spectrum(grid, spectrum)
+        spectrum[0] += 3e-4j * np.max(np.abs(spectrum))
+        spectrum[m] -= 5e-4j * np.max(np.abs(spectrum))
+        values, imag_l2 = values_from_spectrum(grid, spectrum)
+        assert np.array_equal(values, plain)
+        monkeypatch.setattr(grid_module, "SPLIT_TRANSFORM_MIN_LENGTH", 2 * grid.n_points)
+        single, single_imag_l2 = values_from_spectrum(grid, spectrum)
+        assert imag_l2 == single_imag_l2 > 0.0
+        assert np.max(np.abs(values - single)) <= 2e-15 * np.max(np.abs(single))
+
+    def test_length_not_divisible_by_four_takes_the_single_calls_bit_for_bit(self, rng):
+        grid = make_grid(1024.0, 2 ** 18 + 2)
+        values = rng.standard_normal(grid.n_points)
+        spectrum, back = _single_call(grid, values)
+        assert np.array_equal(SpectralField.from_values(grid, values).spectrum, spectrum)
+        assert np.array_equal(values_from_spectrum(grid, spectrum)[0], back)
+
+    def test_two_calls_give_the_same_bits(self, rng):
+        grid = make_grid(1024.0, 2 ** 18)
+        values = rng.standard_normal(grid.n_points)
+        first = SpectralField.from_values(grid, values).spectrum
+        second = SpectralField.from_values(grid, values).spectrum
+        assert np.array_equal(first, second)
+        assert np.array_equal(values_from_spectrum(grid, first)[0], values_from_spectrum(grid, second)[0])
+
+    def test_a_transform_error_on_the_worker_reaches_the_caller(self, rng, monkeypatch):
+        caller, original = threading.get_ident(), np.fft.rfft
+
+        def rfft(*args, **kwargs):
+            if threading.get_ident() != caller:
+                raise FloatingPointError("worker transform")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", rfft)
+        u = SpectralField.from_values(make_grid(1024.0, 2 ** 18), rng.standard_normal(2 ** 18))
+        before = set(threading.enumerate())
+        with pytest.raises(FloatingPointError, match="worker transform"):
+            u.spectrum
+        assert set(threading.enumerate()) == before
+
+
+class TestRunPair:
+    def test_the_second_callable_runs_on_another_thread(self):
+        here, there = _run_pair(threading.get_ident, threading.get_ident)
+        assert here == threading.get_ident() != there
+
+    def test_a_worker_error_is_raised_in_the_caller_and_no_thread_outlives_the_call(self):
+        def fail():
+            raise KeyError("worker")
+
+        before = set(threading.enumerate())
+        with pytest.raises(KeyError, match="worker"):
+            _run_pair(lambda: None, fail)
+        assert set(threading.enumerate()) == before
+
+    def test_the_callers_error_waits_for_the_worker(self):
+        finished = threading.Event()
+
+        def slow():
+            time.sleep(0.05)
+            finished.set()
+
+        def fail():
+            raise ValueError("caller")
+
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="caller"):
+            _run_pair(fail, slow)
+        assert finished.is_set()
+        assert set(threading.enumerate()) == before
 
 
 class TestLpNorm:

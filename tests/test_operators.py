@@ -24,6 +24,7 @@ from fracground import (
 from fracground.checks import conformance_checks, random_band_limited_field
 from fracground.operators import (
     GL_WEIGHT_CUTOFF,
+    OVERLAP_ADD_MIN_LENGTH,
     SYMBOL_KINDS,
     TAIL_BAND_START,
     _even_symbols,
@@ -288,6 +289,24 @@ class TestGLOracle:
         # past the linear length only roundoff is left
         assert np.max(np.abs(out[head:]), initial=0.0) <= 1e-12 * peak
 
+    @pytest.mark.parametrize("len_short", [3, 1000])
+    def test_two_thread_blocks_equal_a_serial_block_loop_bit_for_bit(self, len_short):
+        long_seq, short, _ = _long_short_convolution(len_short)
+        r = short.size
+        m = 1 << (long_seq.size + r - 2).bit_length()
+        p = min(m, max(OVERLAP_ADD_MIN_LENGTH, 1 << (4 * r - 1).bit_length()))
+        step = p - r + 1
+        starts = range(0, long_seq.size, step)
+        assert len(starts) >= 4
+        b_spectrum = np.fft.rfft(short, p)
+        expected = np.zeros(m)
+        for start in starts:
+            prod = np.fft.rfft(long_seq[start : start + step], p)
+            prod *= b_spectrum
+            head = expected[start : start + p]
+            head += np.fft.irfft(prod, p)[: head.size]
+        assert np.array_equal(fftconvolve(long_seq, short, m), expected)
+
     def test_fftconvolve_matches_scipy_bit_for_bit(self, rng):
         from scipy.signal import fftconvolve as scipy_fftconvolve
 
@@ -526,8 +545,15 @@ class TestAllocations:
     def test_derivative_takes_its_product_in_the_fresh_symbol(self):
         u = _fresh_field(make_grid(1024.0, self.N))
         _, units = self.peak_units(fractional_derivative, u, 0.75, "left")
-        # the spectrum, the symbol holding the product, the scaled copy and the values
+        # the spectrum, the symbol holding the product, and the inverse's two half
+        # spectra and two rows of samples, then its rows and the values
         assert units <= 4.1
+
+    def test_forward_transform_allocates_the_spectrum_and_one_half(self):
+        u = _fresh_field(make_grid(1024.0, self.N))
+        _, units = self.peak_units(lambda: u.spectrum)
+        # the even half is transformed into the spectrum itself, the odd half beside it
+        assert units <= 1.6
 
     def test_integral_takes_its_product_in_the_fresh_symbol(self):
         u = _zero_mean_field(make_grid(1024.0, self.N))
