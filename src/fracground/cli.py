@@ -38,6 +38,7 @@ _CONFIG_HELP = "\n".join(
 
 _EPILOG = f"""configuration keys (file lines or --set key=value):
 {_CONFIG_HELP}
+  a non-empty init.path starts from that field.csv instead of the init.* Gaussian
 
 output files per subcommand (all under --output-dir, plus manifest.json):
   solve                report.json, field.csv (columns t,u), residuals.csv (columns iteration,residual)
@@ -190,19 +191,17 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name, help=f"run the {name} workflow")
-        cmd.add_argument("--config", default=None, help="path to a key = value config file")
-        cmd.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one config key (repeatable)",
-        )
-        cmd.add_argument("--output-dir", default="out", help="directory for run artifacts")
+    parser.add_argument("subcommand", choices=list(_COMMANDS), help="the workflow to run")
+    parser.add_argument("--config", default=None, help="path to a key = value config file")
+    parser.add_argument(
+        "--set",
+        dest="overrides",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        help="override one config key (repeatable)",
+    )
+    parser.add_argument("--output-dir", default="out", help="directory for run artifacts")
     return parser
 
 

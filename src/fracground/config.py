@@ -48,7 +48,6 @@ _KEYS: dict[str, tuple[type, str, Any]] = {
     "a.kind": (Perturbation, "kind", str),
     "a.amplitude": (Perturbation, "amplitude", float),
     "a.width": (Perturbation, "width", float),
-    "init.kind": (InitSpec, "kind", str),
     "init.center": (InitSpec, "center", float),
     "init.width": (InitSpec, "width", float),
     "init.amplitude": (InitSpec, "amplitude", float),

@@ -59,14 +59,32 @@ SPLIT_TRANSFORM_MIN_LENGTH = 2 ** 18
 class Grid1D:
     """Uniform periodic grid on [-L, L) with the angular frequencies pi k / L, k = 0..N/2.
 
-    Equal and hashed by (L, N) alone, which fix the rest, so module caches of per-grid tables key on it.
-    The nodes are made on their first read and kept, read-only.
+    Made from (L, N) alone, with L > 0 and even N >= 16, which fix the rest:
+    the spacing h = 2L/N, so that h * N == 2 L exactly in floating point, and
+    the read-only frequencies are set on construction, so equal grids hold
+    equal tables and module caches of per-grid tables key on the grid.  The
+    nodes are made on their first read and kept, read-only.
     """
 
     half_width: float
     n_points: int
-    spacing: float = field(compare=False)
-    frequencies: np.ndarray = field(repr=False, compare=False)
+    spacing: float = field(init=False, compare=False)
+    frequencies: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        half_width, n_points = self.half_width, self.n_points
+        if not np.isfinite(half_width) or half_width <= 0:
+            raise ValueError(f"half_width must be a positive real, got {half_width}")
+        if n_points % 2 != 0:
+            raise ValueError(f"n_points must be even, got {n_points}")
+        if n_points < 16:
+            raise ValueError(f"n_points must be >= 16, got {n_points}")
+        h = 2.0 * half_width / n_points
+        freqs = np.fft.rfftfreq(n_points, d=h)
+        freqs *= 2.0 * np.pi
+        freqs.flags.writeable = False
+        object.__setattr__(self, "spacing", h)
+        object.__setattr__(self, "frequencies", freqs)
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
@@ -84,25 +102,8 @@ class Grid1D:
 
 
 def make_grid(half_width: float, n_points: int) -> Grid1D:
-    """Build a grid on [-L, L) with N uniform cells.
-
-    Requires L > 0 and even N >= 16.  The node spacing satisfies
-    h * N == 2 L exactly in floating point (h is computed as 2L/N).  Only the
-    frequencies are made here; the nodes are made on their first read.
-    """
-    half_width = float(half_width)
-    if not np.isfinite(half_width) or half_width <= 0:
-        raise ValueError(f"half_width must be a positive real, got {half_width}")
-    n_points = int(n_points)
-    if n_points % 2 != 0:
-        raise ValueError(f"n_points must be even, got {n_points}")
-    if n_points < 16:
-        raise ValueError(f"n_points must be >= 16, got {n_points}")
-    h = 2.0 * half_width / n_points
-    freqs = np.fft.rfftfreq(n_points, d=h)
-    freqs *= 2.0 * np.pi
-    freqs.flags.writeable = False
-    return Grid1D(half_width, n_points, h, freqs)
+    """The grid on [-L, L) with N uniform cells, L taken as a float and N as an int."""
+    return Grid1D(float(half_width), int(n_points))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,10 +162,6 @@ class SpectralField:
         """
         values, _ = values_from_spectrum(grid, spectrum)
         return cls.from_values(grid, values)
-
-    @property
-    def n_points(self) -> int:
-        return self.grid.n_points
 
     def _check_same_grid(self, other: "SpectralField") -> None:
         if self.grid != other.grid:
@@ -313,8 +310,8 @@ def _split_irfft(spectrum: np.ndarray, h: float) -> np.ndarray:
     """``irfft`` of ``(-1)^k spectrum / h`` by two half-length inverses on two threads.
 
     Each half is inverted into its own contiguous row, where the inverse needs
-    no buffer of its own, and the rows are interleaved once both are done and
-    the half spectra are freed.
+    no buffer of its own, and the rows are interleaved by one copy once both
+    are done and the half spectra are freed.
     """
     half = spectrum.size - 1
     quarter = half // 2
@@ -332,10 +329,7 @@ def _split_irfft(spectrum: np.ndarray, h: float) -> np.ndarray:
         lambda: np.fft.irfft(odd, half, out=samples[1]),
     )
     del even, odd
-    values = np.empty(2 * half)
-    values[0::2] = samples[0]
-    values[1::2] = samples[1]
-    return values
+    return samples.T.reshape(-1)
 
 
 def _mode_power(spectrum: np.ndarray) -> np.ndarray:

@@ -26,10 +26,11 @@ four run lengths, and each block of p - r + 1 weights is transformed,
 multiplied and added into the output.  Transforms of p points stay near cache
 size, where one product of the whole sequences at N or 2N points does not.
 The blocks run on two threads in two phases, the even blocks and then the odd
-ones: blocks two apart write disjoint output, and each output term is the sum
-of at most two block terms whatever the order, so the result is the serial
-one bit for bit.  The oracle's output field holds the array that the oracle
-built.
+ones, however few blocks there are: blocks two apart write disjoint output,
+and each output term is the sum of at most two block terms whatever the order,
+so the result is the serial one bit for bit.  The blocks are added straight
+into the oracle's zeroed output, which is then scaled in place, and the
+oracle's output field holds that array.
 """
 
 from __future__ import annotations
@@ -246,21 +247,23 @@ SUPPORT_MARGIN_FRACTION = 0.25
 OVERLAP_ADD_MIN_LENGTH = 2 ** 15
 
 
-def fftconvolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of the linear convolution of two real sequences, at most m of them.
+def fftconvolve(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Add the first ``out.size`` terms of the linear convolution of two real sequences into ``out``.
 
-    m is the power of two >= len(a) + len(b) - 1, at which one real-input
-    transform product of the whole sequences is the linear convolution.  The
-    product is taken by overlap-add over blocks of a instead, so that each
-    transform stays near cache size however long a is.  b, of r terms, is
-    transformed once at p, the smallest power of two >= 4 r, floored at
-    OVERLAP_ADD_MIN_LENGTH and capped at m.  Each block of p - r + 1 terms of
-    a is transformed at p, multiplied, inverted and added into the output at
-    its offset.  When the pair fits in one block (p = m, always so when b is
-    the longer one) this is the one product of the whole sequences, in the
-    same order, bit for bit.  Otherwise p >= 4 r, so a block's p terms of
-    output reach less than two blocks ahead: the even blocks, and then the
-    odd ones, are added two threads at a time, to the same bits as one loop.
+    Handed zeros, ``out`` then holds the convolution; its terms from m on,
+    past the linear length, are left as they are.  m is the power
+    of two >= len(a) + len(b) - 1, at which one real-input transform product
+    of the whole sequences is the linear convolution.  The product is taken by
+    overlap-add over blocks of a instead, so that each transform stays near
+    cache size however long a is.  b, of r terms, is transformed once at p,
+    the smallest power of two >= 4 r, floored at OVERLAP_ADD_MIN_LENGTH and
+    capped at m.  Each block of p - r + 1 terms of a is transformed at p,
+    multiplied, inverted and added into ``out`` at its offset.  When the pair
+    fits in one block (p = m, always so when b is the longer one) this is the
+    one product of the whole sequences, bit for bit.  Otherwise p >= 4 r, so a
+    block's p terms of output reach less than two blocks ahead: the even
+    blocks, and then the odd ones, are added two threads at a time, to the
+    same bits as one loop.
 
     Blocks raise the roundoff of each term above that of the one product,
     whose padding spreads it over more terms; at p >= 4 r it stays near the
@@ -271,7 +274,7 @@ def fftconvolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     p = min(m, max(OVERLAP_ADD_MIN_LENGTH, 1 << (4 * r - 1).bit_length()))
     step = p - r + 1
     b_spectrum = np.fft.rfft(b, p)
-    out = np.zeros(min(n, m))
+    out = out[:m]
 
     def add_blocks(starts: range) -> None:
         for start in starts:
@@ -281,22 +284,18 @@ def fftconvolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
             head += np.fft.irfft(prod, p)[: head.size]
 
     starts = range(0, min(len(a), out.size), step)
-    if len(starts) < 3:  # no phase holds two blocks
-        add_blocks(starts)
-    else:
-        for phase in (starts[0::2], starts[1::2]):
-            _run_pair(functools.partial(add_blocks, phase[0::2]), functools.partial(add_blocks, phase[1::2]))
-    return out
+    for phase in (starts[0::2], starts[1::2]):
+        _run_pair(functools.partial(add_blocks, phase[0::2]), functools.partial(add_blocks, phase[1::2]))
 
 
 def gl_weights(alpha: float, max_terms: int) -> np.ndarray:
-    """Binomial weights (-1)^k C(alpha, k), cut before the first below GL_WEIGHT_CUTOFF."""
+    """Binomial weights (-1)^k C(alpha, k), alpha in (0, 1], cut before the first below GL_WEIGHT_CUTOFF."""
     weights = np.ones(max_terms + 1)
     ratio = np.subtract(np.arange(max_terms), alpha, out=weights[1:])  # (k - 1 - alpha) / k, k >= 1
     ratio /= np.arange(1.0, max_terms + 1.0)
     np.cumprod(ratio, out=ratio)
-    small = np.flatnonzero(np.abs(weights) < GL_WEIGHT_CUTOFF)
-    return weights[: small[0]] if small.size else weights
+    # the weights for k >= 1 are <= 0 and rise to 0, so the cut is one search
+    return weights[: 1 + np.searchsorted(ratio, -GL_WEIGHT_CUTOFF, side="right")]
 
 
 def _check_support_margin(u: SpectralField) -> tuple[int, int]:
@@ -339,9 +338,8 @@ def gl_oracle(u: SpectralField, alpha: float, side: str) -> SpectralField:
         values, frame = values[::-1], out[::-1]
         i0, i1 = n - i1, n - i0
     if i1 > i0:
-        conv = fftconvolve(gl_weights(alpha, n - i0 - 1), values[i0:i1], n - i0)
-        conv *= grid.spacing ** (-alpha)
-        frame[i0 : i0 + conv.size] = conv
+        fftconvolve(gl_weights(alpha, n - i0 - 1), values[i0:i1], frame[i0:])
+        frame[i0:] *= grid.spacing ** (-alpha)
     return SpectralField._join(grid, out)
 
 

@@ -77,24 +77,23 @@ _BOUND_MARGIN = 1e-12
 
 @dataclass(frozen=True)
 class InitSpec:
-    kind: str = "gaussian"
+    """The start of a solve: the field in the CSV at ``path`` when that is not empty, else the Gaussian."""
+
     center: float = 0.0
     width: float = 2.0
     amplitude: float = 1.0
     path: str = ""
 
     def build(self, grid: Grid1D) -> SpectralField:
-        if self.kind == "gaussian":
+        if not self.path:
             return gaussian_field(grid, self.center, self.width, self.amplitude)
-        if self.kind == "custom":
-            fld = field_from_csv(self.path)
-            if fld.grid != grid:
-                raise ValueError(
-                    f"custom init grid (L={fld.grid.half_width}, N={fld.grid.n_points}) "
-                    f"does not match the run grid (L={grid.half_width}, N={grid.n_points})"
-                )
-            return fld
-        raise ValueError(f"init kind must be gaussian|custom, got {self.kind!r}")
+        fld = field_from_csv(self.path)
+        if fld.grid != grid:
+            raise ValueError(
+                f"{self.path}: grid (L={fld.grid.half_width}, N={fld.grid.n_points}) "
+                f"does not match the run grid (L={grid.half_width}, N={grid.n_points})"
+            )
+        return fld
 
 
 @dataclass(frozen=True)

@@ -56,11 +56,12 @@ class TestSolveCommand:
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         # recentre is no key: recentring is a fixed step before descent;
+        # init.kind is no key: a non-empty init.path alone names the start;
         # tau is no key: every descent step starts at the full Petviashvili step;
         # the mass window, the operator-check seed and the fiber-scan range are
         # constants; the hypotheses are checked in closed form, so no hyp.* key exists
         for item in (
-            "alpa=0.7", "recentre=true", "tau=1", "window_radius=0.001", "seed=1",
+            "alpa=0.7", "recentre=true", "init.kind=custom", "tau=1", "window_radius=0.001", "seed=1",
             "fiber.sigma_min=0.01", "fiber.sigma_max=10", "fiber.count=50",
             "hyp.t_max=8", "hyp.xi_max=1e4", "hyp.n_samples=48",
         ):
@@ -71,7 +72,7 @@ class TestSolveCommand:
     def test_restart_from_field_csv(self, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
         assert run(["solve", "--output-dir", str(first), *FAST]) == 0
-        restart = ["--set", "init.kind=custom", "--set", f"init.path={first / 'field.csv'}"]
+        restart = ["--set", f"init.path={first / 'field.csv'}"]
         assert run(["solve", "--output-dir", str(second), *FAST, *restart]) == 0
         report = json.loads((first / "report.json").read_text())
         again = json.loads((second / "report.json").read_text())
@@ -155,7 +156,7 @@ def assert_one_error_line(capsys):
 #: a value other than the default for every key
 NON_DEFAULT = {
     "L": "32", "N": "2048", "alpha": "0.6", "autonomous": "true", "p": "2.5", "theta": "3.5",
-    "p0": "3", "a.kind": "rational", "a.amplitude": "2", "a.width": "3", "init.kind": "custom",
+    "p0": "3", "a.kind": "rational", "a.amplitude": "2", "a.width": "3",
     "init.center": "1.5", "init.width": "3", "init.amplitude": "2", "init.path": "field.csv",
     "max_iters": "50", "residual_tol": "1e-6",
 }
@@ -166,6 +167,10 @@ class TestKeyTable:
         values = load_config(None, [])
         assert build_solve_config(values) == SolveConfig()
         assert build_spec(values) == NonlinearitySpec()
+
+    @pytest.mark.parametrize("raw", ["false", "0", "no", "off", " OFF "])
+    def test_false_spellings(self, raw):
+        assert load_config(None, ["autonomous=true", f"autonomous={raw}"])["autonomous"] is False
 
     def test_every_key_lands_on_its_field(self):
         assert NON_DEFAULT.keys() == DEFAULTS.keys()
@@ -191,10 +196,10 @@ class TestInvalidInput:
         [
             ("solve", ["N=15"]),
             ("solve", ["L=-1"]),
-            ("solve", ["init.kind=bogus"]),
+            ("solve", ["init.path={missing}"]),
             ("solve", ["init.width=0"]),
             ("solve", ["init.center=inf"]),
-            ("solve", ["init.kind=custom", "init.path={csv}"]),
+            ("solve", ["init.path={csv}"]),
             ("validate-ops", ["N=15"]),
             ("solve", ["init.center=1e308"]),
             ("solve", ["a.kind=zero"]),
@@ -205,7 +210,8 @@ class TestInvalidInput:
     def test_rejected_in_the_library_exits_2(self, tmp_path, capsys, cmd, items):
         csv = tmp_path / "bad.csv"
         csv.write_text(BAD_CSV)
-        sets = [arg for item in items for arg in ("--set", item.format(csv=csv))]
+        missing = tmp_path / "missing.csv"
+        sets = [arg for item in items for arg in ("--set", item.format(csv=csv, missing=missing))]
         assert run([cmd, "--output-dir", str(tmp_path / "x"), *sets]) == 2
         err = assert_one_error_line(capsys)
         if "init.path={csv}" in items:

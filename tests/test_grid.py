@@ -22,8 +22,8 @@ from fracground import (
 )
 from fracground import grid as grid_module
 from fracground.checks import random_band_limited_field
-from fracground.grid import _run_pair, values_from_spectrum
-from fracground.operators import h_alpha_norm_sq
+from fracground.grid import Grid1D, _run_pair, values_from_spectrum
+from fracground.operators import h_alpha_norm_sq, multiplier_symbol
 
 
 class TestMakeGrid:
@@ -69,6 +69,31 @@ class TestMakeGrid:
         assert make_grid(8.0, 128) != first
         assert make_grid(4.0, 64) != first
         assert make_grid(8.0, 64) != "grid"
+
+    def test_the_tables_follow_from_l_and_n_alone(self):
+        # no spacing or frequencies can be handed in, so no grid equal to
+        # make_grid(64, 4096) can hold other tables and poison the caches keyed on it
+        with pytest.raises(TypeError):
+            Grid1D(64.0, 4096, 1.0, np.zeros(2049))
+        grid = Grid1D(64.0, 4096)
+        assert grid == make_grid(64, 4096)
+        assert grid.spacing == 2.0 * 64.0 / 4096
+        expected = 2.0 * np.pi * np.fft.rfftfreq(4096, d=grid.spacing)
+        assert grid.frequencies.tobytes() == expected.tobytes()
+        assert not grid.frequencies.flags.writeable
+        composed = multiplier_symbol(make_grid(64.0, 4096), 0.75, "composed")
+        assert np.array_equal(composed, grid.frequencies ** 1.5)
+
+    @pytest.mark.parametrize(
+        "half_width, n_points, match",
+        [
+            (np.inf, 64, "positive"), (np.nan, 64, "positive"), (0.0, 64, "positive"),
+            (1.0, 19, "even"), (1.0, 8, ">= 16"),
+        ],
+    )
+    def test_the_constructor_checks_l_and_n(self, half_width, n_points, match):
+        with pytest.raises(ValueError, match=match):
+            Grid1D(half_width, n_points)
 
     @pytest.mark.parametrize("half_width, n_points", [(256.0, 2 ** 16), (50.0, 1000)])
     def test_nodes_are_made_on_first_read(self, half_width, n_points):
@@ -409,7 +434,37 @@ class TestTranslate:
             assert imag_l2 <= 1e-12
 
 
+class TestRejectedInputs:
+    def test_values_of_the_wrong_shape(self, small_grid):
+        with pytest.raises(ValueError, match="shape"):
+            SpectralField.from_values(small_grid, np.zeros(small_grid.n_points + 1))
+
+    def test_non_finite_spectrum(self, small_grid):
+        spectrum = np.zeros(small_grid.nyquist_index + 1, dtype=complex)
+        spectrum[3] = complex(0.0, np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            values_from_spectrum(small_grid, spectrum)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize(
+        "text, match",
+        [("x,u\n-8.0,0.0\n0.0,0.0\n", "header"), ("t,u\n-8.0,0.0\n", "at least two rows"), ("", "header")],
+    )
+    def test_malformed_csv_is_rejected(self, tmp_path, text, match):
+        path = tmp_path / "field.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            field_from_csv(str(path))
+
+    def test_blank_lines_are_skipped(self, tmp_path, small_grid, rng):
+        u = random_band_limited_field(small_grid, rng)
+        path = tmp_path / "field.csv"
+        field_to_csv(u, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + ["\n", "  \n"] + lines[3:] + ["\n"]))
+        assert np.array_equal(field_from_csv(str(path)).values, u.values)
+
     def test_csv_round_trip(self, tmp_path, small_grid, rng):
         u = random_band_limited_field(small_grid, rng)
         path = tmp_path / "field.csv"

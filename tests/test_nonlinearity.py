@@ -185,6 +185,10 @@ class TestHypothesisValidation:
         assert len(report.checks) == 6
         assert report.c_epsilon > 0
 
+    def test_unknown_check_name_raises_key_error(self):
+        with pytest.raises(KeyError, match="nope"):
+            validate_hypotheses(NonlinearitySpec())["nope"]
+
     def test_theta_too_large_fails_superquadratic(self):
         report = validate_hypotheses(spec_with(theta=4.5))
         check = report["superquadratic"]

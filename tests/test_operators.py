@@ -156,6 +156,15 @@ class TestSymbols:
             validate_order(0.5, within="variational")
         assert validate_order(1, within="variational") == 1.0
 
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+    def test_non_finite_order_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            validate_order(alpha)
+
+    def test_unknown_kind_rejected(self, small_grid):
+        with pytest.raises(ValueError, match="unknown symbol kind"):
+            multiplier_symbol(small_grid, 0.75, "both_deriv")
+
 
 class TestFractionalDerivative:
     @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
@@ -199,6 +208,10 @@ class TestFractionalDerivative:
         with pytest.raises(ValueError, match="side"):
             fractional_derivative(u, 0.75, "up")
 
+    def test_zero_field_has_no_tail_mass(self, small_grid):
+        zero = SpectralField.from_values(small_grid, np.zeros(small_grid.n_points))
+        assert _tail_mass(zero) == 0.0
+
 
 class TestFractionalIntegral:
     def test_cosine_phase_shift(self, default_grid):
@@ -220,6 +233,11 @@ class TestFractionalIntegral:
         u = random_band_limited_field(default_grid, rng, zero_mean=True)
         recovered = fractional_integral(fractional_derivative(u, 0.75, side), 0.75, side)
         assert rel_l2(recovered, u) < 1e-10
+
+    def test_bad_side(self, small_grid):
+        u = SpectralField.from_values(small_grid, np.zeros(small_grid.n_points))
+        with pytest.raises(ValueError, match="side"):
+            fractional_integral(u, 0.5, "up")
 
     def test_constant_field_rejected(self, small_grid):
         u = SpectralField.from_values(small_grid, np.ones(small_grid.n_points))
@@ -265,7 +283,8 @@ class TestGLOracle:
         a, b = rng.standard_normal(len_a), rng.standard_normal(len_b)
         n = max(len_a, len_b)
         expected = np.convolve(a, b)[:n]
-        out = fftconvolve(a, b, n)
+        out = np.zeros(n)
+        fftconvolve(a, b, out)
         assert out.shape == (n,)
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -280,14 +299,28 @@ class TestGLOracle:
         a, b = (short, long_seq) if short_first else (long_seq, short)
         full = expected.size
         n = full + n_offset
-        m = 1 << (full - 1).bit_length()
-        out = fftconvolve(a, b, n)
-        assert out.shape == (min(n, m),)
+        out = np.zeros(n)
+        fftconvolve(a, b, out)
+        assert out.shape == (n,)
         head = min(n, full)
         peak = np.max(np.abs(expected))
         assert np.max(np.abs(out[:head] - expected[:head])) <= 1e-12 * peak
         # past the linear length only roundoff is left
         assert np.max(np.abs(out[head:]), initial=0.0) <= 1e-12 * peak
+
+    @pytest.mark.parametrize("len_a", [2, 2 ** 17 - 99])
+    def test_fftconvolve_adds_into_out_up_to_the_transform_length(self, rng, len_a):
+        # one block (m = 128), and five (p = 2^15, m = 2^17) whose last reaches past m
+        a, b = rng.standard_normal(len_a), rng.standard_normal(100)
+        m = 1 << (len_a + b.size - 2).bit_length()
+        start = rng.standard_normal(m + 100)
+        out = start.copy()
+        fftconvolve(a, b, out)
+        expected = np.convolve(a, b)
+        peak = np.max(np.abs(expected))
+        assert np.max(np.abs(out[: expected.size] - start[: expected.size] - expected)) <= 1e-12 * peak
+        assert np.max(np.abs(out[expected.size : m] - start[expected.size : m]), initial=0.0) <= 1e-12 * peak
+        assert np.array_equal(out[m:], start[m:])
 
     @pytest.mark.parametrize("len_short", [3, 1000])
     def test_two_thread_blocks_equal_a_serial_block_loop_bit_for_bit(self, len_short):
@@ -305,13 +338,21 @@ class TestGLOracle:
             prod *= b_spectrum
             head = expected[start : start + p]
             head += np.fft.irfft(prod, p)[: head.size]
-        assert np.array_equal(fftconvolve(long_seq, short, m), expected)
+        out = np.zeros(m)
+        fftconvolve(long_seq, short, out)
+        assert np.array_equal(out, expected)
 
     def test_fftconvolve_matches_scipy_bit_for_bit(self, rng):
         from scipy.signal import fftconvolve as scipy_fftconvolve
 
         a, b = rng.standard_normal(2 ** 12), rng.standard_normal(2 ** 12)
-        assert np.array_equal(fftconvolve(a, b, 2 ** 12), scipy_fftconvolve(a, b)[: 2 ** 12])
+        out = np.zeros(2 ** 12)
+        fftconvolve(a, b, out)
+        assert np.array_equal(out, scipy_fftconvolve(a, b)[: 2 ** 12])
+
+    def test_oracle_bad_side(self, small_grid):
+        with pytest.raises(ValueError, match="side"):
+            gl_oracle(gaussian_field(small_grid), 0.75, "up")
 
     @pytest.mark.parametrize("max_terms", [0, 1, 15, 4096])
     @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.75, 0.95, 1.0])
@@ -560,6 +601,16 @@ class TestAllocations:
         _, units = self.peak_units(fractional_integral, u, 0.75, "right")
         assert units <= 4.1
 
+    def test_oracle_adds_the_blocks_into_its_output(self, monkeypatch):
+        # with the blocks run one after the other the peak is the same on every run:
+        # the output, about N/2 weights, b's spectrum and one block's product and
+        # inverse (2.27 measured); a second copy of the convolution would add 0.5
+        monkeypatch.setattr("fracground.operators._run_pair", lambda first, second: (first(), second()))
+        u = _fresh_field(make_grid(1024.0, self.N))
+        for side in ("left", "right"):
+            _, units = self.peak_units(gl_oracle, u, 0.75, side)
+            assert units <= 2.5, side
+
     def test_the_oracle_and_the_derivative_make_no_nodes(self):
         grid = make_grid(1024.0, self.N)
         u = _fresh_field(grid)
@@ -584,8 +635,9 @@ def _reference_gl_oracle(u, alpha, side):
     small = np.flatnonzero(np.abs(weights) < GL_WEIGHT_CUTOFF)
     weights = weights[: small[0]] if small.size else weights
     out = np.zeros(n)
-    conv = fftconvolve(weights, values[i0:i1], n - i0)
-    out[i0 : i0 + conv.size] = conv * u.grid.spacing ** (-alpha)
+    conv = np.zeros(n - i0)
+    fftconvolve(weights, values[i0:i1], conv)
+    out[i0:] = conv * u.grid.spacing ** (-alpha)
     if side == "right":
         out = out[::-1]
     return out

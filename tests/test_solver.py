@@ -191,14 +191,14 @@ class TestSolveGroundState:
         seed = gaussian_field(grid, width=1.7)
         path = tmp_path / "seed.csv"
         field_to_csv(seed, str(path))
-        config = autonomous_config(init=InitSpec(kind="custom", path=str(path)))
+        config = autonomous_config(init=InitSpec(path=str(path)))
         report = solve_ground_state(config)
         assert report.converged
 
     def test_custom_init_on_another_grid_rejected(self, tmp_path):
         path = tmp_path / "seed.csv"
         field_to_csv(gaussian_field(make_grid(64.0, 1024)), str(path))
-        config = autonomous_config(init=InitSpec(kind="custom", path=str(path)))
+        config = autonomous_config(init=InitSpec(path=str(path)))
         with pytest.raises(ValueError, match="does not match the run grid"):
             solve_ground_state(config)
 
@@ -212,6 +212,10 @@ class TestSolveGroundState:
             SolveConfig(alpha=0.4)
         with pytest.raises(ValueError, match="alpha"):
             SolveConfig(alpha=1.2)
+
+    def test_empty_iteration_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolveConfig(max_iters=0)
 
     def test_coarse_grid_rejected_before_descent(self, monkeypatch):
         # the mass window spans at least one cell: a grid coarser than its radius
@@ -333,6 +337,11 @@ class TestMountainPass:
         assert report.path_max_energy >= solve.level - 1e-6
         # 30 sweeps already lands well inside the 2% band at this order
         assert report.path_max_energy <= 1.02 * solve.level
+
+    @pytest.mark.parametrize("n_nodes, n_deform, match", [(4, 0, "5 path nodes"), (5, -1, "sweep count")])
+    def test_path_shape_rejected(self, n_nodes, n_deform, match):
+        with pytest.raises(ValueError, match=match):
+            mountain_pass_path(autonomous_config(), n_nodes=n_nodes, n_deform=n_deform)
 
     def test_endpoint_auto_scaling(self):
         config = autonomous_config(init=InitSpec(amplitude=0.05, width=2.0))
