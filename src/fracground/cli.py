@@ -6,9 +6,11 @@ defaults included), then its own artifacts into the output directory.
 Outputs carry no timestamps and all floats are written in shortest
 round-trip form, so identical configurations produce byte-identical files.
 
-Exit codes, mapped in ``run`` alone: 0 completed; 1 not converged, a failed
-check row or a package error (``FracgroundError``: ``NoPositivePartError``,
-``DivergedError``, ...); 2 any invalid input (``ValueError`` or ``OSError``).
+Exit codes, mapped in ``run`` alone: 0 completed; 1 a solve that did not
+converge (it still writes its artifacts and prints its status, ``max_iters``
+or ``step_underflow``), a failed check row or a package error
+(``FracgroundError``, e.g. ``NoPositivePartError``); 2 any invalid input
+(``ValueError`` or ``OSError``).
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 from . import __version__
 from .checks import conformance_checks
 from .config import DEFAULTS, build_solve_config, build_spec, load_config
-from .errors import DivergedError, FracgroundError
+from .errors import FracgroundError
 from .grid import field_to_csv, make_grid
 from .nonlinearity import validate_hypotheses
-from .solver import SolveReport, compare_levels, solve_ground_state
+from .solver import compare_levels, solve_ground_state
 from .variational import fiber_map
 
 SCHEMA_VERSION = 2
@@ -49,7 +51,8 @@ output files per subcommand (all under --output-dir, plus manifest.json):
 
 exit codes:
   0  converged / completed
-  1  not converged, a failed check row, or a package error (NoPositivePartError, DivergedError, ...)
+  1  not converged (status=max_iters or status=step_underflow), a failed check row,
+     or a package error (NoPositivePartError, ...)
   2  invalid input: a bad key, value, file or path (one "error:" line on stderr)
 """
 
@@ -78,7 +81,8 @@ def _write_manifest(out_dir: str, subcommand: str, values: dict) -> None:
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def _write_solve_artifacts(report: SolveReport, out_dir: str) -> None:
+def _cmd_solve(values: dict, out_dir: str) -> int:
+    report = solve_ground_state(build_solve_config(values))
     payload = {
         "level": report.level,
         "iterations": report.iterations,
@@ -96,20 +100,9 @@ def _write_solve_artifacts(report: SolveReport, out_dir: str) -> None:
     field_to_csv(report.field, os.path.join(out_dir, "field.csv"))
     residuals = enumerate(report.residual_history)
     _write_csv(os.path.join(out_dir, "residuals.csv"), "iteration,residual", residuals)
-
-
-def _cmd_solve(values: dict, out_dir: str) -> int:
-    config = build_solve_config(values)
-    try:
-        report = solve_ground_state(config)
-    except DivergedError as exc:
-        # the run stopped at the energy-resolution floor: keep what it reached
-        _write_solve_artifacts(exc.report, out_dir)
-        raise
-    _write_solve_artifacts(report, out_dir)
     print(
         f"level={report.level:.12g} residual={report.residual_history[-1]:.3e} "
-        f"iterations={report.iterations} converged={report.converged}"
+        f"iterations={report.iterations} status={report.status}"
     )
     return 0 if report.converged else 1
 

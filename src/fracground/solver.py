@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DivergedError, NoPositivePartError
+from .errors import NoPositivePartError
 from .grid import Grid1D, SpectralField, field_from_csv, gaussian_field, make_grid, shift_cells
 from .nonlinearity import NonlinearitySpec
 # h_alpha_norm_sq is unused here: it is bound by name so that bench/tracer.py can rebind it
@@ -159,11 +159,15 @@ class SolveReport:
     sigma_history: list[float]
     energy_history: list[float]
     iterations: int
-    converged: bool
+    status: str
     max_mass: float
     argmax_y: float
     recentred_shift: float
     nehari_residual: float
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def solve_ground_state(config: SolveConfig) -> SolveReport:
@@ -181,15 +185,18 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     16 eps |E|; a decrease at the rounding level would walk through the
     energy-resolution floor.  Otherwise, or if the fit's Gram system is
     singular, the history is cleared and the plain step u - s g is taken:
-    s = 1, halved until the projection lowers the energy strictly.  A step
-    below 1e-8 raises DivergedError, which carries the report up to the
-    last accepted iterate, so a residual_tol below the floor (about 1e-8 at
-    L = 32, N = 1024) ends there rather than in spent max_iters.  The loop's
-    one state is the accepted projection, and ``iterations`` is
-    len(energy_history) - 1.  One stop test at the head of each iteration
-    ends the run: converged once the residual is at most residual_tol, else
-    unconverged once max_iters steps are accepted.  The level is that of the
-    box [-L, L), with an error of about K L^-(1 + 2 alpha) to the real line's.
+    s = 1, halved until the projection lowers the energy strictly.  The
+    loop's one state is the accepted projection, and ``iterations`` is
+    len(energy_history) - 1.  The report's ``status`` names how the run
+    ended, and every end returns the report up to the last accepted iterate:
+    ``converged`` once the residual is at most residual_tol and
+    ``max_iters`` once max_iters steps are accepted, both tested at the head
+    of an iteration; ``step_underflow`` when the step falls below 1e-8.  That
+    is the energy-resolution floor, where no step lowers the energy: at
+    L = 32, N = 1024 it is reached at residual 4.196e-09 after 12
+    iterations, so a residual_tol below it ends there.  The level is that of
+    the box [-L, L), with an error of about K L^-(1 + 2 alpha) to the real
+    line's.
 
     When 1 + a(t) is not exactly 1 on the grid, the start is first moved to
     its translate of least projected energy (``variational._best_translate``).
@@ -221,7 +228,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     residual_history: list[float] = []
     history = _MixingHistory(grid)
 
-    def report(converged: bool) -> SolveReport:
+    def report(status: str) -> SolveReport:
         diag = vanishing_diagnostic(accepted.projected, WINDOW_RADIUS)
         return SolveReport(
             field=accepted.projected,
@@ -230,7 +237,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
             sigma_history=sigma_history,
             energy_history=energy_history,
             iterations=len(energy_history) - 1,
-            converged=converged,
+            status=status,
             max_mass=diag.max_mass,
             argmax_y=diag.argmax_y,
             recentred_shift=cells * grid.spacing,
@@ -241,9 +248,10 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
         u, level = accepted.projected, accepted.energy
         grad = gradient(u, spec, alpha)
         residual_history.append(grad.residual_norm)
-        converged = grad.residual_norm <= config.residual_tol
-        if converged or len(energy_history) > config.max_iters:
-            return report(converged)
+        if grad.residual_norm <= config.residual_tol:
+            return report("converged")
+        if len(energy_history) > config.max_iters:
+            return report("max_iters")
         history.push(u, grad.precond_gradient)
         mixed = history.mixed()
         trial = None if mixed is None else _project_or_none(mixed, spec, alpha)
@@ -256,12 +264,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
                     break
                 step *= 0.5
                 if step < _STEP_UNDERFLOW:
-                    raise DivergedError(
-                        f"descent step underflowed below {_STEP_UNDERFLOW:.0e} without a "
-                        f"strict energy decrease: energy-resolution floor at residual "
-                        f"{grad.residual_norm:.3e}, last accepted energy {level!r}",
-                        report(False),
-                    )
+                    return report("step_underflow")
         accepted = trial
         sigma_history.append(accepted.sigma)
         energy_history.append(accepted.energy)
@@ -330,6 +333,7 @@ class MountainPassReport:
     initial_node_energies: list[float]
     endpoint_scale: float
     sweeps: int
+    stop: str
     sweep_max: list[float]
     segments_searched: int
     relax_give_ups: list[int]
@@ -355,7 +359,12 @@ def mountain_pass_path(
     level that decreases with the sweep count; ``sweep_max`` records the
     highest node energy at the start of each sweep and after the last, and
     ``relax_give_ups`` the line searches of each sweep that found no lower
-    energy in 25 halvings.
+    energy in 25 halvings.  ``n_deform`` caps the sweeps, and ``sweeps``
+    counts those run.  A sweep that would start with its highest node at an
+    endpoint is not run, and ``stop`` reads ``collapsed``: every interior
+    node is then at or below zero energy, so the mountain lies inside a segment
+    that no relax moves, and the path maximum stays an upper bound.  Else
+    all ``n_deform`` sweeps run and ``stop`` reads ``max_sweeps``.
 
     Each node carries N(u) = ||u||_alpha^2 and P(u) = h sum F(t, u), and its
     energy is read as N(u) / 2 - P(u).  By homogeneity the seed node lam e
@@ -456,12 +465,13 @@ def mountain_pass_path(
     initial_energies = energies()
     sweep_max = [max(initial_energies)]
     give_ups = []
+    stop = "max_sweeps"
     for _ in range(n_deform):
-        gave_up = 0
         top = int(np.argmax(energies()))
-        if 0 < top < n_nodes - 1:
-            for _ in range(3):
-                gave_up += relax(top)
+        if not 0 < top < n_nodes - 1:
+            stop = "collapsed"
+            break
+        gave_up = sum(relax(top) for _ in range(3))
         for i in range(1, n_nodes - 1):
             if 0.5 * norms[i] > potentials[i]:
                 gave_up += relax(i)
@@ -488,7 +498,8 @@ def mountain_pass_path(
         node_energies=energies(),
         initial_node_energies=initial_energies,
         endpoint_scale=scale,
-        sweeps=n_deform,
+        sweeps=len(give_ups),
+        stop=stop,
         sweep_max=sweep_max,
         segments_searched=searched,
         relax_give_ups=give_ups,

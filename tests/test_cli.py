@@ -19,6 +19,9 @@ FAST = [
     "--set", "max_iters=500",
 ]
 
+#: a tolerance below the energy-resolution floor, reached at residual 4.2e-9
+FLOOR = ["--set", "N=1024", "--set", "L=32", "--set", "residual_tol=1e-12"]
+
 
 def read(path):
     with open(path, "rb") as fh:
@@ -84,7 +87,7 @@ class TestSolveCommand:
         code = run(["solve", "--output-dir", str(tmp_path / "x"), *FAST, "--set", "max_iters=2"])
         assert code == 1
 
-    def test_budget_of_exactly_the_needed_iterations_exits_0(self, tmp_path):
+    def test_budget_of_exactly_the_needed_iterations_exits_0(self, tmp_path, capsys):
         # the stop test reads the last iterate too: a budget of k steps ends where the
         # uncapped run does, with the same histories, and k - 1 steps leave k residuals
         assert run(["solve", "--output-dir", str(tmp_path / "full")]) == 0
@@ -92,29 +95,27 @@ class TestSolveCommand:
         assert run(["solve", "--output-dir", str(tmp_path / "exact"), "--set", f"max_iters={k}"]) == 0
         for name in ("report.json", "field.csv", "residuals.csv"):
             assert read(tmp_path / "full" / name) == read(tmp_path / "exact" / name)
+        assert "status=converged" in capsys.readouterr().out
         assert run(["solve", "--output-dir", str(tmp_path / "short"), "--set", f"max_iters={k - 1}"]) == 1
         short = json.loads((tmp_path / "short" / "report.json").read_text())
         assert short["converged"] is False and short["iterations"] == k - 1
         assert len(short["residual_history"]) == k
+        assert "status=max_iters" in capsys.readouterr().out
 
     def test_diverged_exits_1(self, tmp_path, capsys):
-        # a tolerance far below the energy-resolution floor ends in DivergedError
+        # a tolerance far below the energy-resolution floor ends in step_underflow:
+        # a normal end that writes its artifacts and prints its status, not an error
         out = tmp_path / "x"
-        code = run(
-            [
-                "solve", "--output-dir", str(out),
-                "--set", "N=1024", "--set", "L=32", "--set", "residual_tol=1e-12",
-            ]
-        )
+        code = run(["solve", "--output-dir", str(out), *FLOOR])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "DivergedError" in err
-        # the run up to the last accepted iterate is still written out
+        captured = capsys.readouterr()
+        assert captured.err == ""
         for name in ("report.json", "field.csv", "residuals.csv"):
             assert (out / name).exists(), name
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False
-        assert f"at residual {report['final_residual']:.3e}," in err
+        assert "status=step_underflow" in captured.out
+        assert f"residual={report['final_residual']:.3e}" in captured.out
 
     def test_config_file_and_override_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -276,6 +277,17 @@ class TestOtherCommands:
         assert payload["c"] < payload["c_bar"]
         assert payload["strict"] is True
         assert "c_bar=" in capsys.readouterr().out
+
+    def test_compare_at_the_floor_writes_compare_json(self, tmp_path, capsys):
+        # both solves end at the energy-resolution floor: the comparison is still
+        # written, with both flagged unconverged, and the run exits 1
+        out = tmp_path / "cmp"
+        assert run(["compare", "--output-dir", str(out), *FLOOR]) == 1
+        payload = json.loads((out / "compare.json").read_text())
+        assert payload["perturbed_converged"] is False
+        assert payload["autonomous_converged"] is False
+        assert payload["c"] < payload["c_bar"]
+        assert capsys.readouterr().err == ""
 
     def test_fiber_scan(self, tmp_path):
         out = tmp_path / "fiber"

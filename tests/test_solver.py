@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fracground import (
-    DivergedError,
     InitSpec,
     NoPositivePartError,
     NonlinearitySpec,
@@ -161,12 +160,13 @@ class TestSolveGroundState:
 
     def test_unreachable_tolerance_diverges(self):
         # far below the attainable energy-decrease floor: the line search
-        # must eventually underflow and report divergence
+        # must eventually underflow and return the report with that status
         config = autonomous_config(
             half_width=32.0, n_points=1024, residual_tol=1e-12, max_iters=4000
         )
-        with pytest.raises(DivergedError):
-            solve_ground_state(config)
+        report = solve_ground_state(config)
+        assert report.status == "step_underflow"
+        assert not report.converged
 
     @pytest.mark.parametrize("autonomous", [False, True])
     def test_two_transforms_per_iteration(self, fft_calls, autonomous):
@@ -180,6 +180,7 @@ class TestSolveGroundState:
                             max_iters=max_iters, autonomous=autonomous)
             )
             assert report.iterations == max_iters and not report.converged
+            assert report.status == "max_iters"
             return len(fft_calls)
 
         counts = {k: transforms(k) for k in (2, 5, 8)}
@@ -444,6 +445,7 @@ class TestMountainPass:
         for n_deform in (0, 4):
             report = mountain_pass_path(config, n_nodes=9, n_deform=n_deform)
             assert len(report.relax_give_ups) == report.sweeps == n_deform
+            assert report.stop == "max_sweeps"
             assert all(isinstance(n, int) and n >= 0 for n in report.relax_give_ups)
 
     def test_every_relax_gives_up_when_no_step_lowers_the_energy(self, monkeypatch):
@@ -464,6 +466,26 @@ class TestMountainPass:
         assert sum(report.relax_give_ups) == len(calls)
         # after the first sweep every interior node reads +inf and is relaxed, the top one 3 times
         assert report.relax_give_ups[1:] == [3 + 7, 3 + 7]
+
+    @pytest.mark.parametrize("p", [1.01, 1.1])
+    def test_near_one_p_stops_collapsed_or_reaches_the_level(self, p):
+        # at p = 1.01 the endpoint scale is 2^26: after three sweeps every interior
+        # node is at or below zero energy, the top node is node 0, and the
+        # deformation ends with the path max still an upper bound far above the
+        # level; at p = 1.1 all 200 sweeps run and the path max meets the level
+        spec = NonlinearitySpec(p=p, theta=p + 1.0, p0=p + 0.5)
+        config = SolveConfig(half_width=32.0, n_points=1024, autonomous=True, spec=spec)
+        level = solve_ground_state(config).level
+        report = mountain_pass_path(config, n_nodes=33, n_deform=200)
+        assert len(report.relax_give_ups) == report.sweeps == len(report.sweep_max) - 1
+        assert report.path_max_energy >= level
+        if p == 1.01:
+            assert report.stop == "collapsed" and report.sweeps == 3
+            assert report.sweep_max[-1] == max(report.node_energies) == 0.0
+            assert report.path_max_energy > 1e8
+        else:
+            assert report.stop == "max_sweeps" and report.sweeps == 200
+            assert report.path_max_energy - level <= 1e-7 * level
 
 
 class TestAutonomy:
