@@ -51,8 +51,9 @@ output files per subcommand (all under --output-dir, plus manifest.json):
 
 exit codes:
   0  converged / completed
-  1  not converged (status=max_iters or status=step_underflow), a failed check row,
-     or a package error (NoPositivePartError, ...)
+  1  not converged (status=max_iters or status=step_underflow; compare prints one
+     "<perturbed|autonomous> solve: residual=... status=..." line per such solve),
+     a failed check row, or a package error (NoPositivePartError, ...)
   2  invalid input: a bad key, value, file or path (one "error:" line on stderr)
 """
 
@@ -125,6 +126,9 @@ def _cmd_compare(values: dict, out_dir: str) -> int:
         f"c={result.c:.12g} c_bar={result.c_bar:.12g} gap={result.gap:.6g} "
         f"strict={result.strict}"
     )
+    for name, report in (("perturbed", result.perturbed), ("autonomous", result.autonomous)):
+        if not report.converged:
+            print(f"{name} solve: residual={report.residual_history[-1]:.3e} status={report.status}")
     return 0 if (result.perturbed.converged and result.autonomous.converged) else 1
 
 

@@ -157,8 +157,8 @@ class SpectralField:
     def from_spectrum(cls, grid: Grid1D, spectrum: np.ndarray) -> "SpectralField":
         """Build a field from a spectrum, discarding the imaginary residue.
 
-        Use :func:`values_from_spectrum` when the caller needs to assert a
-        bound on the discarded imaginary part.
+        Use :func:`values_from_spectrum` when the caller needs to measure
+        the discarded imaginary part.
         """
         values, _ = values_from_spectrum(grid, spectrum)
         return cls.from_values(grid, values)
@@ -191,11 +191,11 @@ def values_from_spectrum(grid: Grid1D, spectrum: np.ndarray) -> tuple[np.ndarray
     The values are ``irfft`` of the spectrum with its phase and h undone, or
     the same values by two half-length inverses on two threads from
     SPLIT_TRANSFORM_MIN_LENGTH points on.  Both drop the imaginary parts of
-    modes 0 and N/2; kept, they would
-    add an imaginary constant and an imaginary (-1)^j wave to the values,
-    whose discrete L2 norm ``hypot(Im S_0, Im S_N/2) / sqrt(N h)`` is returned:
-    zero for the spectrum of a field, and the measure of how far an applied
-    symbol is from keeping real fields real.
+    modes 0 and N/2; kept, they would add an imaginary constant and an
+    imaginary (-1)^j wave to the values, whose discrete L2 norm
+    ``hypot(Im S_0, Im S_N/2) / sqrt(N h)`` is returned.  It is zero for the
+    spectrum of a real field and for its product with a symbol that is real
+    at k = 0 and N/2, as every ``multiplier_symbol`` kind is.
     """
     spectrum = np.asarray(spectrum, dtype=np.complex128)
     m = grid.nyquist_index

@@ -126,14 +126,13 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class VanishingProfile:
-    centers: np.ndarray
     masses: np.ndarray
     max_mass: float
     argmax_y: float
 
 
 def vanishing_diagnostic(u: SpectralField, r: float) -> VanishingProfile:
-    """Sliding-window mass integral of u^2 over [y - r, y + r] for every grid center.
+    """Sliding-window mass integral of u^2 over [y - r, y + r], ``masses[i]`` at y = ``grid.nodes[i]``.
 
     The window radius must be finite and at least one cell.  The argmax
     locates the concentration point; a max mass bounded away from zero is the
@@ -148,7 +147,7 @@ def vanishing_diagnostic(u: SpectralField, r: float) -> VanishingProfile:
     wrapped = np.pad(u.values ** 2, half_cells, mode="wrap")
     masses = grid.spacing * np.convolve(wrapped, kernel, mode="valid")
     idx = int(np.argmax(masses))
-    return VanishingProfile(grid.nodes, masses, float(masses[idx]), float(grid.nodes[idx]))
+    return VanishingProfile(masses, float(masses[idx]), float(grid.nodes[idx]))
 
 
 @dataclass(frozen=True)

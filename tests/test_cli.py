@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -280,14 +281,21 @@ class TestOtherCommands:
 
     def test_compare_at_the_floor_writes_compare_json(self, tmp_path, capsys):
         # both solves end at the energy-resolution floor: the comparison is still
-        # written, with both flagged unconverged, and the run exits 1
+        # written, with both flagged unconverged, stdout names each solve and how
+        # it ended, and the run exits 1
         out = tmp_path / "cmp"
         assert run(["compare", "--output-dir", str(out), *FLOOR]) == 1
         payload = json.loads((out / "compare.json").read_text())
         assert payload["perturbed_converged"] is False
         assert payload["autonomous_converged"] is False
         assert payload["c"] < payload["c_bar"]
-        assert capsys.readouterr().err == ""
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        first, *solves = captured.out.splitlines()
+        assert first.startswith("c=")
+        assert len(solves) == 2
+        for name, line in zip(("perturbed", "autonomous"), solves):
+            assert re.fullmatch(rf"{name} solve: residual=\d\.\d{{3}}e-\d\d status=step_underflow", line), line
 
     def test_fiber_scan(self, tmp_path):
         out = tmp_path / "fiber"

@@ -1,10 +1,9 @@
 import functools
-import re
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from fracground import (
     SpectralField,
@@ -105,24 +104,20 @@ class TestSymbols:
         expected[grid.nyquist_index] = 0.0
         assert np.array_equal(multiplier_symbol(grid, alpha, kind), expected)
 
-    def test_non_hermitian_symbol_trips_the_residue_check(self, small_grid):
-        u = gaussian_field(small_grid, width=1.0)
-        with pytest.raises(AssertionError, match="imaginary residue"):
-            apply_multiplier(u, 1j * np.ones(small_grid.nyquist_index + 1))
-
-    @pytest.mark.parametrize("mode", ["zero", "nyquist"])
-    def test_imaginary_symbol_at_a_self_mirrored_mode_raises(self, small_grid, mode):
-        # ||u|| is read only once the residue is not 0; the message is unchanged
-        n = small_grid.n_points
-        wave = 0.01 * (-1.0) ** np.arange(n)
-        u = SpectralField.from_values(small_grid, gaussian_field(small_grid, width=1.0).values + wave)
-        symbol = np.ones(small_grid.nyquist_index + 1, dtype=np.complex128)
-        symbol[0 if mode == "zero" else -1] = 1.0 + 1.0j
-        _, residue = values_from_spectrum(small_grid, symbol * u.spectrum)
-        assert residue > 0.0
-        text = f"imaginary residue {residue:.3e} exceeds 1e-10 * ||u|| ({lp_norm(u, 2):.3e})"
-        with pytest.raises(AssertionError, match=re.escape(text)):
-            apply_multiplier(u, symbol)
+    @pytest.mark.parametrize("alpha", [0.55, 0.75, 1.0])
+    @pytest.mark.parametrize("n", [16, 1000, 4096, 2 ** 18])
+    def test_symbols_and_spectra_are_real_at_the_self_mirrored_modes(self, n, alpha):
+        # modes 0 and N/2 are their own mirrors: every symbol and every real field's
+        # spectrum is real there, so no product leaves an imaginary residue (2^18 splits)
+        grid = make_grid(32.0, n)
+        ends = [0, grid.nyquist_index]
+        u = gaussian_field(grid, center=0.3, width=1.0)
+        assert np.all(u.spectrum[ends].imag == 0.0)
+        kinds = [kind for kind in SYMBOL_KINDS if alpha < 1.0 or not kind.endswith("_int")]
+        for kind in kinds:
+            symbol = multiplier_symbol(grid, alpha, kind)
+            assert np.all(np.imag(symbol[ends]) == 0.0), kind
+            assert values_from_spectrum(grid, symbol * u.spectrum)[1] == 0.0, kind
 
     def test_integral_symbol_exponent(self, small_grid):
         sym = multiplier_symbol(small_grid, 0.6, "left_int")
@@ -476,14 +471,14 @@ class TestHAlphaNorm:
         )
 
     def test_gaussian_seminorm_quadrature_oracle(self):
-        # |u|_a^2 = (1/2pi) int |w|^(2a) |u_hat|^2 dw with u_hat = sqrt(2pi) e^(-w^2/2);
-        # the |w|^(2a) cusp at w = 0 limits the frequency-sum accuracy to
-        # O(dw^(2a+1)), so a wide domain is needed for 1e-6 agreement
+        # |u|_a^2 = (1/2pi) int |w|^(2a) |u_hat|^2 dw with u_hat = sqrt(2pi) e^(-w^2/2),
+        # which is 2 int_0^inf w^(2a) e^(-w^2) dw = Gamma(a + 1/2); the |w|^(2a) cusp
+        # at w = 0 limits the frequency-sum accuracy to O(dw^(2a+1)), so a wide
+        # domain is needed for 1e-6 agreement
         grid = make_grid(256.0, 16384)
         u = gaussian_field(grid, width=1.0)
         alpha = 0.75
-        integrand = lambda w: w ** (2 * alpha) * 2 * np.pi * np.exp(-w ** 2)
-        expected_sq = 2 * quad(integrand, 0, 20)[0] / (2 * np.pi)
+        expected_sq = math.gamma(alpha + 0.5)
         assert abs(h_alpha_norm(u, alpha).seminorm - np.sqrt(expected_sq)) < 1e-6
 
     @pytest.mark.parametrize("n_points", [16, 4096])
@@ -580,7 +575,7 @@ class TestAllocations:
 
     def test_make_grid_allocates_only_the_frequencies(self):
         grid, units = self.peak_units(make_grid, 1024.0, self.N)
-        assert units <= 1.2
+        assert units <= 1.25
         assert "nodes" not in grid.__dict__
 
     def test_derivative_takes_its_product_in_the_fresh_symbol(self):
@@ -600,6 +595,12 @@ class TestAllocations:
         u = _zero_mean_field(make_grid(1024.0, self.N))
         _, units = self.peak_units(fractional_integral, u, 0.75, "right")
         assert units <= 4.1
+
+    def test_weights_make_their_ratios_in_place(self):
+        # the weights and one block of 2^14 ratios (1.19 measured); two full-length
+        # index arrays beside the weights read 2.03
+        _, units = self.peak_units(gl_weights, 0.75, self.N)
+        assert units <= 1.25
 
     def test_oracle_adds_the_blocks_into_its_output(self, monkeypatch):
         # with the blocks run one after the other the peak is the same on every run:
