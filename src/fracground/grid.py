@@ -154,6 +154,12 @@ class SpectralField:
         return fld
 
     @classmethod
+    def _from_fresh_spectrum(cls, grid: Grid1D, spectrum: np.ndarray) -> "SpectralField":
+        """Freeze a freshly made spectrum and its inverse into a field."""
+        values, _ = values_from_spectrum(grid, spectrum)
+        return cls._join(grid, values, spectrum)
+
+    @classmethod
     def from_spectrum(cls, grid: Grid1D, spectrum: np.ndarray) -> "SpectralField":
         """Build a field from a spectrum, discarding the imaginary residue.
 
@@ -402,9 +408,7 @@ def translate(fld: SpectralField, shift: float) -> SpectralField:
     grid = fld.grid
     phase = np.exp(-1j * float(shift) * grid.frequencies)
     phase[-1] = phase[-1].real
-    spectrum = phase * fld.spectrum
-    values, _ = values_from_spectrum(grid, spectrum)
-    return SpectralField._join(grid, values, spectrum)
+    return SpectralField._from_fresh_spectrum(grid, phase * fld.spectrum)
 
 
 # -- serialization ----------------------------------------------------------

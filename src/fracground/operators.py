@@ -43,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SpectralTailWarning, ZeroModeSingularError
+# values_from_spectrum is unused here: it is bound by name so that bench/tracer.py can rebind it
 from .grid import Grid1D, SpectralField, _mode_power, _run_pair, lp_norm, values_from_spectrum
 
 __all__ = [
@@ -176,13 +177,7 @@ def apply_multiplier(u: SpectralField, symbol: np.ndarray) -> SpectralField:
     kind is.  Those modes are their own mirrors, so a real field's spectrum is
     real there, the product is too, and its inverse drops no imaginary part.
     """
-    return _join_product(u, symbol * u.spectrum)
-
-
-def _join_product(u: SpectralField, out_spectrum: np.ndarray) -> SpectralField:
-    """The field whose spectrum is the fresh product ``out_spectrum`` of a symbol and u's."""
-    values, _ = values_from_spectrum(u.grid, out_spectrum)
-    return SpectralField._join(u.grid, values, out_spectrum)
+    return SpectralField._from_fresh_spectrum(u.grid, symbol * u.spectrum)
 
 
 def fractional_derivative(u: SpectralField, alpha: float, side: str) -> SpectralField:
@@ -198,7 +193,7 @@ def fractional_derivative(u: SpectralField, alpha: float, side: str) -> Spectral
     _check_tail(u)
     product = multiplier_symbol(u.grid, alpha, "left_deriv" if side == "left" else "right_deriv")
     product *= u.spectrum
-    return _join_product(u, product)
+    return SpectralField._from_fresh_spectrum(u.grid, product)
 
 
 def fractional_integral(u: SpectralField, alpha: float, side: str) -> SpectralField:
@@ -216,7 +211,7 @@ def fractional_integral(u: SpectralField, alpha: float, side: str) -> SpectralFi
         )
     product = multiplier_symbol(u.grid, alpha, "left_int" if side == "left" else "right_int")
     product *= u.spectrum
-    return _join_product(u, product)
+    return SpectralField._from_fresh_spectrum(u.grid, product)
 
 
 def composed_operator(u: SpectralField, alpha: float) -> SpectralField:

@@ -575,7 +575,7 @@ class TestAllocations:
 
     def test_make_grid_allocates_only_the_frequencies(self):
         grid, units = self.peak_units(make_grid, 1024.0, self.N)
-        assert units <= 1.25
+        assert units <= 1.2
         assert "nodes" not in grid.__dict__
 
     def test_derivative_takes_its_product_in_the_fresh_symbol(self):
