@@ -110,15 +110,30 @@ def make_grid(half_width: float, n_points: int) -> Grid1D:
 class SpectralField:
     """Real-valued sampled function with its continuum-calibrated spectrum (modes k <= N/2).
 
-    The values are checked and frozen on construction.  The spectrum is made
-    on its first read and kept, read-only, so a field whose spectrum is never
-    read costs no transform; two threads racing on the first read at worst
-    compute the same array twice.  Arithmetic combines both representations
-    linearly and makes no transform.
+    The values are checked and frozen on construction: a float64 array of
+    shape (N,), every entry finite, made read-only in place.  So the
+    constructor takes arrays made for the field alone, and ``from_values``
+    copies any other.  The spectrum is made on its first read and kept,
+    read-only, so a field whose spectrum is never read costs no transform;
+    two threads racing on the first read at worst compute the same array
+    twice.  Arithmetic combines both representations linearly and makes no
+    transform.
     """
 
     grid: Grid1D
     values: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        values, n = self.values, self.grid.n_points
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
+            got = getattr(values, "dtype", type(values))
+            raise ValueError(f"values must be a float64 array, got {got}")
+        if values.shape != (n,):
+            raise ValueError(f"values must have shape ({n},), got {values.shape}")
+        # checked here, not at the first read: the transform warns on non-finite input
+        if not np.isfinite(values).all():
+            raise ValueError("field values must be finite")
+        values.flags.writeable = False
 
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
@@ -131,43 +146,22 @@ class SpectralField:
 
     @classmethod
     def from_values(cls, grid: Grid1D, values: np.ndarray) -> "SpectralField":
-        values = np.array(values, dtype=np.float64)
-        if values.shape != (grid.n_points,):
-            raise ValueError(
-                f"values must have shape ({grid.n_points},), got {values.shape}"
-            )
-        return cls._join(grid, values)
+        """The field of a float64 copy of ``values``."""
+        return cls(grid, np.array(values, dtype=np.float64))
 
     @classmethod
-    def _join(
-        cls, grid: Grid1D, values: np.ndarray, spectrum: np.ndarray | None = None
-    ) -> "SpectralField":
-        """Freeze freshly made values, and their spectrum if given, into a field."""
-        # checked here, not at the first read: the transform warns on non-finite input
-        if not np.isfinite(values).all():
-            raise ValueError("field values must be finite")
-        values.flags.writeable = False
+    def _join(cls, grid: Grid1D, values: np.ndarray, spectrum: np.ndarray) -> "SpectralField":
+        """Freeze freshly made values and their spectrum into a field."""
         fld = cls(grid, values)
-        if spectrum is not None:
-            spectrum.flags.writeable = False
-            fld.__dict__["spectrum"] = spectrum  # fills the cached property
+        spectrum.flags.writeable = False
+        fld.__dict__["spectrum"] = spectrum  # fills the cached property
         return fld
 
     @classmethod
     def _from_fresh_spectrum(cls, grid: Grid1D, spectrum: np.ndarray) -> "SpectralField":
-        """Freeze a freshly made spectrum and its inverse into a field."""
+        """Freeze a freshly made or read-only spectrum and its inverse into a field."""
         values, _ = values_from_spectrum(grid, spectrum)
         return cls._join(grid, values, spectrum)
-
-    @classmethod
-    def from_spectrum(cls, grid: Grid1D, spectrum: np.ndarray) -> "SpectralField":
-        """Build a field from a spectrum, discarding the imaginary residue.
-
-        Use :func:`values_from_spectrum` when the caller needs to measure
-        the discarded imaginary part.
-        """
-        values, _ = values_from_spectrum(grid, spectrum)
-        return cls.from_values(grid, values)
 
     def _check_same_grid(self, other: "SpectralField") -> None:
         if self.grid != other.grid:
@@ -388,12 +382,12 @@ def gaussian_field(
         raise ValueError(f"width must be in (0, inf) with 2 width^2 finite and positive, got {width}")
     with np.errstate(over="ignore"):  # a width far below the spacing: exp(-inf) = 0 off the centre
         values = amplitude * np.exp(-((grid.nodes - center) ** 2) / spread)
-    return SpectralField.from_values(grid, values)
+    return SpectralField(grid, values)
 
 
 def shift_cells(fld: SpectralField, n_cells: int) -> SpectralField:
     """Translate a field by an integer number of grid cells (periodic)."""
-    return SpectralField.from_values(fld.grid, np.roll(fld.values, int(n_cells)))
+    return SpectralField(fld.grid, np.roll(fld.values, int(n_cells)))
 
 
 def translate(fld: SpectralField, shift: float) -> SpectralField:
@@ -445,4 +439,4 @@ def field_from_csv(path: str) -> SpectralField:
     grid = make_grid(half_width, n)
     if not np.allclose(grid.nodes, t_vals, rtol=0, atol=1e-12 * max(1.0, half_width)):
         raise ValueError("CSV nodes are not a uniform [-L, L) grid")
-    return SpectralField.from_values(grid, np.asarray(u_vals))
+    return SpectralField(grid, np.array(u_vals))

@@ -332,7 +332,7 @@ def gl_oracle(u: SpectralField, alpha: float, side: str) -> SpectralField:
     if i1 > i0:
         fftconvolve(gl_weights(alpha, n - i0 - 1), values[i0:i1], frame[i0:])
         frame[i0:] *= grid.spacing ** (-alpha)
-    return SpectralField._join(grid, out)
+    return SpectralField(grid, out)
 
 
 # -- norms ---------------------------------------------------------------------

@@ -76,7 +76,7 @@ def gradient(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> Gradient
     alpha = validate_order(alpha, within="variational")
     grid = u.grid
     # eval_f's array is fresh, so it is frozen as it is, not copied
-    f_field = SpectralField._join(grid, eval_f(spec, grid, u.values))
+    f_field = SpectralField(grid, eval_f(spec, grid, u.values))
     precond = u - apply_multiplier(f_field, multiplier_symbol(grid, alpha, "resolvent"))
     res_norm = float(np.sqrt(h_alpha_norm_sq(precond, alpha)))
     return GradientResult(precond, res_norm, alpha)

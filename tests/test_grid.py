@@ -132,8 +132,8 @@ class TestTransform:
 
     def test_round_trip_identity(self, default_grid, rng):
         u = random_band_limited_field(default_grid, rng)
-        back = SpectralField.from_spectrum(default_grid, u.spectrum)
-        rel = np.max(np.abs(back.values - u.values)) / np.max(np.abs(u.values))
+        back, _ = values_from_spectrum(default_grid, u.spectrum)
+        rel = np.max(np.abs(back - u.values)) / np.max(np.abs(u.values))
         assert rel < 1e-12
         # the phase exp(i w_k L) is exactly (-1)^k and the spectrum holds k <= N/2
         signs = (-1.0) ** np.arange(default_grid.nyquist_index + 1)
@@ -166,8 +166,6 @@ class TestTransform:
         assert full.shape == (small_grid.n_points,)
         with pytest.raises(ValueError, match="shape"):
             values_from_spectrum(small_grid, full)
-        with pytest.raises(ValueError, match="shape"):
-            SpectralField.from_spectrum(small_grid, full)
 
     def test_plancherel(self, default_grid, rng):
         u = random_band_limited_field(default_grid, rng)
@@ -214,7 +212,7 @@ class TestLazySpectrum:
         assert second is first and not first.flags.writeable
         # a whole-cell shift and a field built from a spectrum transform nothing either
         shift_cells(u, 5)
-        SpectralField.from_spectrum(default_grid, first)
+        translate(u, 0.5)
         assert len(rfft_calls) == 1
         signs = (-1.0) ** np.arange(default_grid.nyquist_index + 1)
         assert np.array_equal(first, default_grid.spacing * (signs * np.fft.rfft(values)))
@@ -438,6 +436,36 @@ class TestRejectedInputs:
     def test_values_of_the_wrong_shape(self, small_grid):
         with pytest.raises(ValueError, match="shape"):
             SpectralField.from_values(small_grid, np.zeros(small_grid.n_points + 1))
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda n: np.where(np.arange(n) == 3, np.nan, 0.0), "finite"),
+            (lambda n: np.where(np.arange(n) == 3, -np.inf, 0.0), "finite"),
+            (lambda n: np.zeros(7), "shape"),
+            (lambda n: np.zeros((n, 1)), "shape"),
+            (lambda n: np.zeros(n, dtype=np.float32), "float64"),
+            (lambda n: np.zeros(n, dtype=np.complex128), "float64"),
+            (lambda n: [0.0] * n, "float64"),
+        ],
+        ids=["nan", "inf", "short", "column", "float32", "complex", "list"],
+    )
+    def test_the_constructor_checks_its_values(self, small_grid, make, match):
+        with pytest.raises(ValueError, match=match):
+            SpectralField(small_grid, make(small_grid.n_points))
+
+    def test_the_constructor_freezes_what_it_accepts(self, small_grid):
+        values = np.linspace(-1.0, 1.0, small_grid.n_points)
+        strided = np.zeros(2 * small_grid.n_points)[::2]
+        for array in (values, strided):
+            fld = SpectralField(small_grid, array)
+            assert fld.values is array and not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        # from_values copies, so the caller's array stays writable
+        kept = np.ones(small_grid.n_points)
+        assert not SpectralField.from_values(small_grid, kept).values.flags.writeable
+        assert kept.flags.writeable
 
     def test_non_finite_spectrum(self, small_grid):
         spectrum = np.zeros(small_grid.nyquist_index + 1, dtype=complex)
