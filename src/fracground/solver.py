@@ -341,6 +341,10 @@ class MountainPassReport:
 #: halvings after which a relax line search gives up and leaves its node as it is
 _RELAX_HALVINGS = 25
 
+#: the deformation has stalled once a sweep moves the highest node energy by at
+#: most this fraction of it
+_STALL_RTOL = 1e-10
+
 
 def mountain_pass_path(
     config: SolveConfig, n_nodes: int = 33, n_deform: int = 200
@@ -359,11 +363,14 @@ def mountain_pass_path(
     highest node energy at the start of each sweep and after the last, and
     ``relax_give_ups`` the line searches of each sweep that found no lower
     energy in 25 halvings.  ``n_deform`` caps the sweeps, and ``sweeps``
-    counts those run.  A sweep that would start with its highest node at an
-    endpoint is not run, and ``stop`` reads ``collapsed``: every interior
-    node is then at or below zero energy, so the mountain lies inside a segment
-    that no relax moves, and the path maximum stays an upper bound.  Else
-    all ``n_deform`` sweeps run and ``stop`` reads ``max_sweeps``.
+    counts those run.  ``stop`` names how the deformation ended:
+    - ``collapsed``: a sweep that would start with its highest node at an
+      endpoint is not run.  Every interior node is then at or below zero
+      energy, so the mountain lies inside a segment that no relax moves, and
+      the path maximum stays an upper bound.
+    - ``stalled``: a sweep moved ``sweep_max`` by at most 1e-10 of its new
+      value, and both values are finite.
+    - ``max_sweeps``: all ``n_deform`` sweeps ran.
 
     Each node carries N(u) = ||u||_alpha^2 and P(u) = h sum F(t, u), and its
     energy is read as N(u) / 2 - P(u).  By homogeneity the seed node lam e
@@ -477,6 +484,10 @@ def mountain_pass_path(
         give_ups.append(gave_up)
         reparametrize()
         sweep_max.append(max(energies()))
+        before, latest = sweep_max[-2:]
+        if np.isfinite([before, latest]).all() and abs(latest - before) <= _STALL_RTOL * abs(latest):
+            stop = "stalled"
+            break
 
     chords = [distance_sq(a, b) for a, b in zip(path, path[1:])]
     bounds = _segment_bounds(path, norms, potentials, chords, spec)

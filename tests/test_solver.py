@@ -187,6 +187,33 @@ class TestSolveGroundState:
         for j, k in [(2, 5), (5, 8), (2, 8)]:
             assert 0 < counts[k] - counts[j] <= 2 * (k - j)
 
+    def test_a_trial_without_a_fiber_scale_halves_the_step(self, monkeypatch):
+        # near p = 1 with a strong, wide bump a(t) the ground state is tiny (level
+        # about 1e-182), while the narrow start projects to a field of peak about
+        # 1e116.  The fiber scales of the first plain trials overflow, so their
+        # projections raise; each such trial counts as no descent and halves the step
+        raised = []
+        real_project = solver_module.nehari_project
+
+        def counted(*args):
+            try:
+                return real_project(*args)
+            except NoPositivePartError:
+                raised.append(1)
+                raise
+
+        monkeypatch.setattr(solver_module, "nehari_project", counted)
+        spec = NonlinearitySpec(
+            p=1.003, theta=2.003, p0=1.503, perturbation=Perturbation(amplitude=50.0, width=10.0)
+        )
+        config = SolveConfig(
+            half_width=32.0, n_points=1024, alpha=0.9, spec=spec, init=InitSpec(width=0.05)
+        )
+        report = solve_ground_state(config)
+        assert raised
+        assert report.converged and report.iterations >= 1
+        assert report.energy_history[-1] < report.energy_history[0]
+
     def test_custom_init_round_trip(self, tmp_path):
         grid = make_grid(64.0, 4096)
         seed = gaussian_field(grid, width=1.7)
@@ -466,6 +493,32 @@ class TestMountainPass:
         assert sum(report.relax_give_ups) == len(calls)
         # after the first sweep every interior node reads +inf and is relaxed, the top one 3 times
         assert report.relax_give_ups[1:] == [3 + 7, 3 + 7]
+
+    def test_default_cell_stalls_before_its_sweep_cap(self):
+        # criterion 6's cell: the default grid and 33 nodes x 200 sweeps at alpha = 0.75, a = 0
+        config = autonomous_config()
+        level = solve_ground_state(config).level
+        report = mountain_pass_path(config, n_nodes=33, n_deform=200)
+        assert report.stop == "stalled" and report.sweeps < 200
+        assert len(report.relax_give_ups) == report.sweeps == len(report.sweep_max) - 1
+        # it ends at the first sweep that moved sweep_max by at most 1e-10 of it
+        moves = [abs(b - a) / abs(b) for a, b in zip(report.sweep_max, report.sweep_max[1:])]
+        assert moves[-1] <= solver_module._STALL_RTOL < min(moves[:-1])
+        assert level - 1e-6 <= report.path_max_energy <= 1.02 * level
+
+    @pytest.mark.parametrize("alpha", [0.6, 0.75, 0.9])
+    @pytest.mark.parametrize("autonomous", [True, False])
+    def test_bench_cells_run_every_sweep(self, alpha, autonomous):
+        # the mountain_pass benchmark's grid and path (33 nodes x 25 sweeps) at the
+        # narrow, low corner of its start range, where sweep_max moves least: every
+        # sweep still moves it by over a thousand times the stall rule, so the
+        # benchmark's tasks run all their sweeps
+        config = SolveConfig(alpha=alpha, autonomous=autonomous, init=InitSpec(width=1.0, amplitude=0.5))
+        report = mountain_pass_path(config, n_nodes=33, n_deform=25)
+        assert report.stop == "max_sweeps" and report.sweeps == 25
+        sweep_max = np.array(report.sweep_max)
+        moves = np.abs(np.diff(sweep_max)) / np.abs(sweep_max[1:])
+        assert np.min(moves) > 1e3 * solver_module._STALL_RTOL
 
     @pytest.mark.parametrize("p", [1.01, 1.1])
     def test_near_one_p_stops_collapsed_or_reaches_the_level(self, p):
