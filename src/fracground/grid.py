@@ -223,6 +223,11 @@ def values_from_spectrum(grid: Grid1D, spectrum: np.ndarray) -> tuple[np.ndarray
 # Every array the halves write is made on the calling thread and handed to
 # them: the C allocator keeps what a worker thread freed for that thread's own
 # later use, so arrays made there would add to the process's peak memory.
+# numpy's FFT still allocates its own work memory on the worker thread, about
+# 2 x 8 MB at a half length of 2^20, and glibc keeps that in a second arena.
+# So the peak resident memory of a run of large split transforms differs by
+# about that much from run to run: the gl_cross benchmark's peak_rss_mb reads
+# about 220 or about 229 MB, also for one seed.
 
 
 def _splits(n: int) -> bool:
