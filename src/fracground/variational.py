@@ -248,8 +248,10 @@ def _best_translate(u: SpectralField, spec: NonlinearitySpec) -> tuple[SpectralF
     searched globally; the best cell is refined by successive parabolic
     interpolation through ``translate`` and ``_potential``, and the first
     evaluation that does not raise J strictly marks its rounding floor and
-    ends the search.  With a = 0 the field is returned as it is: J is then
-    flat, and a search would move u by rounding.
+    ends the search.  A sub-cell shift can peak above max(u), and at large p
+    its J then overflows to inf: a rise, after which the parabola's vertex is
+    NaN and ends the search.  With a = 0 the field is returned as it is: J is
+    then flat, and a search would move u by rounding.
     """
     grid = u.grid
     h, n = grid.spacing, grid.n_points
@@ -264,19 +266,20 @@ def _best_translate(u: SpectralField, spec: NonlinearitySpec) -> tuple[SpectralF
     xs = [(k - 1) * h, k * h, (k + 1) * h]
     js = [cells[(k - 1) % n], cells[k], cells[(k + 1) % n]]
     best = None
-    for _ in range(_TRANSLATE_EVALS):
-        (a, b, c), (ja, jb, jc) = xs, js
-        den = (b - a) * (jb - jc) - (b - c) * (jb - ja)
-        if den == 0.0:
-            break
-        x = b - 0.5 * ((b - a) ** 2 * (jb - jc) - (b - c) ** 2 * (jb - ja)) / den
-        if not a < x < c:
-            break
-        moved = translate(u, x)
-        jx = _potential(spec, grid, moved.values / peak)
-        if jx <= jb:
-            break
-        best = moved
-        xs, js = ([b, x, c], [jb, jx, jc]) if x > b else ([a, x, b], [ja, jx, jb])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed J ends the search
+        for _ in range(_TRANSLATE_EVALS):
+            (a, b, c), (ja, jb, jc) = xs, js
+            den = (b - a) * (jb - jc) - (b - c) * (jb - ja)
+            if den == 0.0:
+                break
+            x = b - 0.5 * ((b - a) ** 2 * (jb - jc) - (b - c) ** 2 * (jb - ja)) / den
+            if not a < x < c:
+                break
+            moved = translate(u, x)
+            jx = _potential(spec, grid, moved.values / peak)
+            if jx <= jb:
+                break
+            best = moved
+            xs, js = ([b, x, c], [jb, jx, jc]) if x > b else ([a, x, b], [ja, jx, jb])
     shift = xs[1]
     return (best if best is not None else translate(u, shift)), shift

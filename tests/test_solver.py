@@ -17,7 +17,7 @@ from fracground import (
     solve_ground_state,
     vanishing_diagnostic,
 )
-from fracground import operators, solver as solver_module
+from fracground import operators, solver as solver_module, variational as variational_module
 from fracground.grid import field_to_csv
 from fracground.variational import _best_translate, energy, gradient
 
@@ -315,6 +315,26 @@ class TestTranslationSearch:
         u = gaussian_field(default_grid, center=0.7)
         moved, shift = _best_translate(u, NonlinearitySpec().autonomous())
         assert moved is u and shift == 0.0
+
+    def test_an_overflowed_potential_ends_the_search(self, monkeypatch):
+        # at p = 4027 this narrow start off the nodes peaks above its largest
+        # sample once shifted between nodes, so J overflows to inf there; the
+        # vertex after it is NaN and ends the search, with no RuntimeWarning
+        potentials = []
+        real_potential = variational_module._potential
+
+        def recorded(*args):
+            potentials.append(real_potential(*args))
+            return potentials[-1]
+
+        monkeypatch.setattr(variational_module, "_potential", recorded)
+        spec = NonlinearitySpec(p=4027.0, theta=4028.0, p0=4028.0)
+        config = SolveConfig(
+            half_width=32.0, n_points=1024, spec=spec, init=InitSpec(center=0.783, width=0.0345)
+        )
+        report = solve_ground_state(config)
+        assert potentials[-1] == np.inf and len(potentials) < variational_module._TRANSLATE_EVALS
+        assert report.converged
 
     def test_offcentre_iteration_budget(self):
         # without the search this start drifts onto the bump of a(t) for 329 iterations
