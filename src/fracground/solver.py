@@ -225,7 +225,9 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     sigma_history = [accepted.sigma]
     energy_history = [accepted.energy]
     residual_history: list[float] = []
-    history = _MixingHistory(grid)
+    # the Anderson history: the last iterate's triple and the last _DEPTH triple differences
+    last = None
+    diffs: deque[tuple[np.ndarray, ...]] = deque(maxlen=_DEPTH)
 
     def report(status: str) -> SolveReport:
         diag = vanishing_diagnostic(accepted.projected, WINDOW_RADIUS)
@@ -251,14 +253,18 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
             return report("converged")
         if len(energy_history) > config.max_iters:
             return report("max_iters")
-        history.push(u, grad.precond_gradient)
-        mixed = history.mixed()
+        g = grad.precond_gradient
+        current = (g.values, u.values - g.values, (u.spectrum - g.spectrum).view(np.float64))
+        if last is not None:
+            diffs.append(tuple(new - old for new, old in zip(current, last)))
+        last = current
+        mixed = _mixed_iterate(grid, last, diffs)
         trial = None if mixed is None else _project_or_none(mixed, spec, alpha)
         if trial is None or not trial.energy < level - _MIX_MARGIN * abs(level):
-            history.clear()
+            diffs.clear()
             step = 1.0
             while True:
-                trial = _project_or_none(u - step * grad.precond_gradient, spec, alpha)
+                trial = _project_or_none(u - step * g, spec, alpha)
                 if trial is not None and trial.energy < level:
                     break
                 step *= 0.5
@@ -277,49 +283,25 @@ def _project_or_none(trial: SpectralField, spec: NonlinearitySpec, alpha: float)
         return None
 
 
-class _MixingHistory:
-    """The last pushed iterate (u, g) and the last ``_DEPTH`` differences before it.
+def _mixed_iterate(grid: Grid1D, last: tuple, diffs: deque) -> SpectralField | None:
+    """The mixed iterate u - g - sum_j gamma_j (dU_j - dG_j) at the last iterate (u, g).
 
-    Each difference is a triple: the gradient difference dG_j (values) and
-    dU_j - dG_j (values, and spectrum as float pairs).  The deque drops the
-    oldest once ``_DEPTH`` are held, and the triples are stacked only when
-    ``mixed`` is called.  ``clear`` drops the differences but keeps the last
-    iterate.
+    ``last`` is (g, u - g, the spectrum of u - g as float pairs) and each of
+    ``diffs`` is the difference of two such triples: dG_j, dU_j - dG_j and its
+    spectrum.  gamma is the least-squares fit of g by the dG_j.  None when
+    there are no differences or their Gram system is singular.
     """
-
-    def __init__(self, grid: Grid1D) -> None:
-        self.grid = grid
-        self.diffs: deque[tuple[np.ndarray, np.ndarray, np.ndarray]] = deque(maxlen=_DEPTH)
-        self.last: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def clear(self) -> None:
-        self.diffs.clear()
-
-    def push(self, u: SpectralField, g: SpectralField) -> None:
-        """Make (u, g) the last iterate, recording its differences from the one before."""
-        image_spectrum = (u.spectrum - g.spectrum).view(np.float64)
-        current = (g.values, u.values - g.values, image_spectrum)
-        if self.last is not None:
-            self.diffs.append(tuple(new - old for new, old in zip(current, self.last)))
-        self.last = current
-
-    def mixed(self) -> SpectralField | None:
-        """The mixed iterate u - g - sum_j gamma_j (dU_j - dG_j) at the last iterate (u, g).
-
-        gamma is the least-squares fit of g by the dG_j.  None when there are
-        no differences or their Gram system is singular.
-        """
-        if not self.diffs:
-            return None
-        grad, image_values, image_spectrum = self.last
-        grad_diffs, image_diffs, image_spectrum_diffs = (np.array(rows) for rows in zip(*self.diffs))
-        try:
-            gamma = np.linalg.solve(grad_diffs @ grad_diffs.T, grad_diffs @ grad)
-        except np.linalg.LinAlgError:
-            return None
-        values = image_values - gamma @ image_diffs
-        spectrum = image_spectrum - gamma @ image_spectrum_diffs
-        return SpectralField._join(self.grid, values, spectrum.view(np.complex128))
+    if not diffs:
+        return None
+    grad, image_values, image_spectrum = last
+    grad_diffs, image_diffs, image_spectrum_diffs = (np.array(rows) for rows in zip(*diffs))
+    try:
+        gamma = np.linalg.solve(grad_diffs @ grad_diffs.T, grad_diffs @ grad)
+    except np.linalg.LinAlgError:
+        return None
+    values = image_values - gamma @ image_diffs
+    spectrum = image_spectrum - gamma @ image_spectrum_diffs
+    return SpectralField._join(grid, values, spectrum.view(np.complex128))
 
 
 # -- mountain-pass path --------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -269,37 +271,42 @@ class TestMixing:
         assert report.iterations <= 15
         assert np.all(np.diff(report.energy_history) < 0.0)
 
+    @staticmethod
+    def _triple(u, spec):
+        # what the descent keeps of an iterate: g, u - g and the spectrum of u - g as float pairs
+        g = gradient(u, spec, 0.75).precond_gradient
+        return g.values, u.values - g.values, (u.spectrum - g.spectrum).view(np.float64)
+
+    @staticmethod
+    def _diff(new, old):
+        return tuple(a - b for a, b in zip(new, old))
+
     def test_singular_history_falls_back(self, small_grid):
-        # the same iterate pushed twice leaves a zero gradient difference: the
-        # Gram system is singular, so there is no mixed iterate and no error
+        # the same iterate twice leaves a zero gradient difference: the Gram
+        # system is singular, so there is no mixed iterate and no error
         spec = NonlinearitySpec()
-        first = gaussian_field(small_grid)
-        second = gaussian_field(small_grid, width=1.5)
-        history = solver_module._MixingHistory(small_grid)
-        for u in (first, second, second):
-            g = gradient(u, spec, 0.75).precond_gradient
-            history.push(u, g)
-        assert len(history.diffs) == 2
-        assert history.mixed() is None
+        first = self._triple(gaussian_field(small_grid), spec)
+        second = self._triple(gaussian_field(small_grid, width=1.5), spec)
+        diffs = deque([self._diff(second, first), self._diff(second, second)], maxlen=3)
+        assert solver_module._mixed_iterate(small_grid, second, diffs) is None
+        assert solver_module._mixed_iterate(small_grid, second, deque(maxlen=3)) is None
 
     def test_clear_restarts_the_history(self, small_grid):
-        # after a fallback, only the differences pushed since the clear are mixed
+        # after a fallback, only the differences recorded since the clear are
+        # mixed: a cleared deque given one difference mixes as a fresh one
         spec = NonlinearitySpec()
-        pairs = []
-        for width in (1.5, 1.8, 2.1, 2.4):
-            u = gaussian_field(small_grid, width=width)
-            pairs.append((u, gradient(u, spec, 0.75).precond_gradient))
-        restarted = solver_module._MixingHistory(small_grid)
-        for pair in pairs[:3]:
-            restarted.push(*pair)
+        triples = [self._triple(gaussian_field(small_grid, width=w), spec) for w in (1.5, 1.8, 2.1, 2.4)]
+        restarted = deque((self._diff(b, a) for a, b in zip(triples[:2], triples[1:3])), maxlen=3)
         restarted.clear()
-        restarted.push(*pairs[3])
-        fresh = solver_module._MixingHistory(small_grid)
-        for pair in pairs[2:]:
-            fresh.push(*pair)
-        assert len(restarted.diffs) == len(fresh.diffs) == 1
-        assert np.array_equal(restarted.mixed().values, fresh.mixed().values)
-        assert np.array_equal(restarted.mixed().spectrum, fresh.mixed().spectrum)
+        restarted.append(self._diff(triples[3], triples[2]))
+        fresh = deque([self._diff(triples[3], triples[2])], maxlen=3)
+        mixed = [solver_module._mixed_iterate(small_grid, triples[3], d) for d in (restarted, fresh)]
+        assert np.array_equal(mixed[0].values, mixed[1].values)
+        assert np.array_equal(mixed[0].spectrum, mixed[1].spectrum)
+        # the one-difference fit differs from the fit over the uncleared history
+        full = deque((self._diff(b, a) for a, b in zip(triples, triples[1:])), maxlen=3)
+        longer = solver_module._mixed_iterate(small_grid, triples[3], full)
+        assert not np.array_equal(longer.values, mixed[0].values)
 
 
 class TestTranslationSearch:
