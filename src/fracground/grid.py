@@ -80,7 +80,9 @@ class Grid1D:
         if n_points < 16:
             raise ValueError(f"n_points must be >= 16, got {n_points}")
         h = 2.0 * half_width / n_points
-        freqs = np.fft.rfftfreq(n_points, d=h)
+        # the bits of rfftfreq(N, h) * 2 pi, without its two int64 temporaries
+        freqs = np.arange(n_points // 2 + 1, dtype=np.float64)
+        freqs *= 1.0 / (n_points * h)
         freqs *= 2.0 * np.pi
         freqs.flags.writeable = False
         object.__setattr__(self, "spacing", h)
@@ -197,11 +199,11 @@ def values_from_spectrum(grid: Grid1D, spectrum: np.ndarray) -> tuple[np.ndarray
     spectrum of a real field and for its product with a symbol that is real
     at k = 0 and N/2, as every ``multiplier_symbol`` kind is.
     """
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
+    spectrum = np.ascontiguousarray(spectrum, dtype=np.complex128)
     m = grid.nyquist_index
     if spectrum.shape != (m + 1,):
         raise ValueError(f"spectrum must have shape ({m + 1},), got {spectrum.shape}")
-    if not np.isfinite(spectrum).all():
+    if not np.isfinite(spectrum.view(np.float64)).all():
         raise ValueError("spectrum entries must be finite")
     n, h = grid.n_points, grid.spacing
     imag_l2 = float(np.hypot(spectrum[0].imag, spectrum[m].imag) / np.sqrt(n * h))
@@ -315,8 +317,8 @@ def _split_irfft(spectrum: np.ndarray, h: float) -> np.ndarray:
     """``irfft`` of ``(-1)^k spectrum / h`` by two half-length inverses on two threads.
 
     Each half is inverted into its own contiguous row, where the inverse needs
-    no buffer of its own, and the rows are interleaved by one copy once both
-    are done and the half spectra are freed.
+    no buffer of its own, and the rows are interleaved into the values once
+    both are done and the half spectra are freed.
     """
     half = spectrum.size - 1
     quarter = half // 2
@@ -334,7 +336,9 @@ def _split_irfft(spectrum: np.ndarray, h: float) -> np.ndarray:
         lambda: np.fft.irfft(odd, half, out=samples[1]),
     )
     del even, odd
-    return samples.T.reshape(-1)
+    values = np.empty(2 * half)
+    values[0::2], values[1::2] = samples
+    return values
 
 
 def _mode_power(spectrum: np.ndarray) -> np.ndarray:

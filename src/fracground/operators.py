@@ -138,10 +138,9 @@ def multiplier_symbol(grid: Grid1D, alpha: float, kind: str) -> np.ndarray:
     sign = 1.0 if kind.startswith("left") else -1.0
     power = alpha if kind.endswith("deriv") else -alpha
     m = grid.nyquist_index
-    sym = np.zeros(m + 1, dtype=np.complex128)
-    sym.real[1:m] = grid.frequencies[1:m] ** power
-    sym[1:m] *= np.exp(1j * (power * (np.pi / 2.0) * sign))
-    return sym
+    mag = np.zeros(m + 1)
+    mag[1:m] = grid.frequencies[1:m] ** power
+    return mag * np.exp(1j * (power * (np.pi / 2.0) * sign))
 
 
 def _tail_mass(u: SpectralField) -> float:
@@ -293,10 +292,12 @@ def gl_weights(alpha: float, max_terms: int) -> np.ndarray:
 def _check_support_margin(u: SpectralField) -> tuple[int, int]:
     """Check the support margin; return the run i0..i1 of values not exactly 0 (0, 0 if none)."""
     grid = u.grid
-    nonzero = np.flatnonzero(u.values)
-    if nonzero.size == 0:
+    # the first nonzero from each end: argmax stops there, where flatnonzero scans all N
+    nonzero = u.values != 0.0
+    i0 = int(np.argmax(nonzero))
+    if not nonzero[i0]:
         return 0, 0
-    i0, i1 = int(nonzero[0]), int(nonzero[-1]) + 1
+    i1 = nonzero.size - int(np.argmax(nonzero[::-1]))
     run = np.abs(u.values[i0:i1])
     idx = i0 + np.flatnonzero(run > 1e-13 * run.max())
     t_lo, t_hi = -grid.half_width + grid.spacing * idx[[0, -1]]  # two nodes, not the node array

@@ -46,6 +46,15 @@ class TestMakeGrid:
         assert np.allclose(grid.frequencies, np.pi * k / 5.0, rtol=1e-15, atol=0.0)
         assert grid.frequencies[-1] > 0  # the Nyquist frequency is +pi N / (2L)
 
+    @pytest.mark.parametrize(
+        "half_width, n_points",
+        [(np.pi, 16), (5.0, 64), (50.0, 1000), (64.0, 4096), (1024.0, 2 ** 18 + 2), (0.3, 2 ** 21)],
+    )
+    def test_frequencies_are_the_bits_of_rfftfreq(self, half_width, n_points):
+        grid = make_grid(half_width, n_points)
+        expected = np.fft.rfftfreq(n_points, grid.spacing) * (2.0 * np.pi)
+        assert grid.frequencies.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("bad_n", [15, 17, 101])
     def test_odd_n_rejected(self, bad_n):
         with pytest.raises(ValueError, match="even"):
@@ -268,6 +277,23 @@ class TestSplitTransforms:
         spectrum, back = _single_call(grid, values)
         assert np.array_equal(SpectralField.from_values(grid, values).spectrum, spectrum)
         assert np.array_equal(values_from_spectrum(grid, spectrum)[0], back)
+
+    def test_split_inverse_is_the_interleave_of_its_two_rows(self, rng, monkeypatch):
+        # the half inverses write the rows of one (2, N/2) array; the values are
+        # its transpose flattened, bit for bit
+        grid = make_grid(1024.0, 2 ** 18)
+        spectrum = SpectralField.from_values(grid, rng.standard_normal(grid.n_points)).spectrum
+        rows, original = [], np.fft.irfft
+
+        def irfft(*args, out=None, **kwargs):
+            rows.append(out)
+            return original(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        values, _ = values_from_spectrum(grid, spectrum)
+        samples = rows[0].base
+        assert len(rows) == 2 and rows[1].base is samples and samples.shape == (2, grid.n_points // 2)
+        assert values.tobytes() == samples.T.reshape(-1).tobytes()
 
     def test_two_calls_give_the_same_bits(self, rng):
         grid = make_grid(1024.0, 2 ** 18)

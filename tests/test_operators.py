@@ -389,8 +389,16 @@ class TestGLOracle:
 
     def test_zero_field(self, default_grid):
         u = SpectralField.from_values(default_grid, np.zeros(default_grid.n_points))
-        out = gl_oracle(u, 0.7, "left")
-        assert np.all(out.values == 0)
+        assert _check_support_margin(u) == (0, 0)
+        for side in ("left", "right"):
+            assert np.all(gl_oracle(u, 0.7, side).values == 0)
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_a_lone_value_at_an_end_fails_the_margin(self, default_grid, index):
+        values = np.zeros(default_grid.n_points)
+        values[index] = 1e-300
+        with pytest.raises(ValueError, match="margin"):
+            _check_support_margin(SpectralField.from_values(default_grid, values))
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("alpha", [0.6, 1.0])
@@ -621,6 +629,26 @@ class TestAllocations:
         assert "nodes" not in grid.__dict__
 
 
+def _zero_filled_symbol(grid, alpha, kind):
+    """A one-sided symbol built in a zeroed complex array, its interior scaled by the phase in place."""
+    sign = 1.0 if kind.startswith("left") else -1.0
+    power = alpha if kind.endswith("deriv") else -alpha
+    m = grid.nyquist_index
+    sym = np.zeros(m + 1, dtype=np.complex128)
+    sym.real[1:m] = grid.frequencies[1:m] ** power
+    sym[1:m] *= np.exp(1j * (power * (np.pi / 2.0) * sign))
+    return sym
+
+
+@pytest.mark.parametrize("n", [16, 1000, 2 ** 18])
+@pytest.mark.parametrize("kind", ["left_deriv", "right_deriv", "left_int", "right_int"])
+@pytest.mark.parametrize("alpha", [0.3, 0.75, 0.99])
+def test_one_sided_symbol_is_the_zero_filled_construction_bit_for_bit(n, kind, alpha):
+    grid = make_grid(64.0, n)
+    symbol = multiplier_symbol(grid, alpha, kind)
+    assert symbol.tobytes() == _zero_filled_symbol(grid, alpha, kind).tobytes()
+
+
 def _reference_gl_oracle(u, alpha, side):
     """gl_oracle's values by plain expressions that allocate freely: a scan of |u|,
     concatenated weights, a scaled copy of the convolution and a reversed output."""
@@ -688,6 +716,18 @@ class TestSameBits:
                 assert _check_support_margin(u) == (first, last + 1)
             outcomes.add(margin < 0.25 * grid.half_width)
         assert outcomes == {False, True}
+
+    def test_zeros_only_at_both_ends(self, bits_grid):
+        # a run of N - 2 values, all but the central bump below the cut of 1e-13
+        # of the peak, so the margin holds
+        n = bits_grid.n_points
+        values = np.full(n, 1e-300)
+        values += _fresh_field(bits_grid, center=0.0).values
+        values[[0, -1]] = 0.0
+        u = SpectralField.from_values(bits_grid, values)
+        assert _check_support_margin(u) == (1, n - 1)
+        for side in ("left", "right"):
+            assert np.array_equal(gl_oracle(u, 0.75, side).values, _reference_gl_oracle(u, 0.75, side))
 
     def test_a_handed_symbol_is_not_written(self, bits_grid):
         symbol = multiplier_symbol(bits_grid, 0.75, "left_deriv")
