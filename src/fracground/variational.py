@@ -215,13 +215,19 @@ def _fiber_scale(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> tupl
 
 
 def nehari_project(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> NehariResult:
-    """Scale a field onto the stationarity manifold along its ray, in closed form: one ``eval_F`` pass."""
+    """Scale a field onto the stationarity manifold along its ray, in closed form: one ``eval_F`` pass.
+
+    NoPositivePartError is raised where ``_fiber_scale`` raises it, and when
+    the alpha-norm of sigma u underflows to 0, which leaves no residual.
+    """
     alpha = validate_order(alpha, within="variational")
     sigma, potential = _fiber_scale(u, spec, alpha)
     projected = sigma * u
     # the norm of w = sigma u itself, not sigma^2 ||u||_alpha^2, so that the residual
     # <grad E(w), w> / ||w||_alpha^2 shows where a subnormal ||u||_alpha^2 made sigma miss
     quadratic = 0.5 * h_alpha_norm_sq(projected, alpha)
+    if quadratic == 0.0:
+        raise NoPositivePartError("the projected field's alpha-norm underflows to 0")
     residual = 1.0 - (spec.p + 1.0) * potential / (2.0 * quadratic)
     return NehariResult(sigma, projected, residual, quadratic - potential)
 

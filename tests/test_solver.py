@@ -216,6 +216,31 @@ class TestSolveGroundState:
         assert report.converged and report.iterations >= 1
         assert report.energy_history[-1] < report.energy_history[0]
 
+    def test_a_trial_whose_projection_has_no_norm_halves_the_step(self, monkeypatch):
+        # the same start under a narrower bump a(t): a trial's fiber scale is
+        # finite, but sigma u is so small that its alpha-norm squared underflows
+        # to 0.  Its projection raises NoPositivePartError, as a trial without a
+        # fiber scale does, instead of dividing by the zero norm
+        raised = []
+        real_project = solver_module.nehari_project
+
+        def recorded(*args):
+            try:
+                return real_project(*args)
+            except NoPositivePartError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(solver_module, "nehari_project", recorded)
+        spec = NonlinearitySpec(p=1.003, theta=2.003, p0=1.503, perturbation=Perturbation(amplitude=50.0))
+        config = SolveConfig(
+            half_width=32.0, n_points=1024, alpha=0.9, spec=spec, init=InitSpec(width=0.05)
+        )
+        report = solve_ground_state(config)
+        assert any("underflows" in text for text in raised)
+        assert report.converged and report.iterations >= 1
+        assert 0.0 < report.level < report.energy_history[0]
+
     def test_custom_init_round_trip(self, tmp_path):
         grid = make_grid(64.0, 4096)
         seed = gaussian_field(grid, width=1.7)
