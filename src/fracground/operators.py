@@ -292,7 +292,7 @@ def gl_weights(alpha: float, max_terms: int) -> np.ndarray:
 def _check_support_margin(u: SpectralField) -> tuple[int, int]:
     """Check the support margin; return the run i0..i1 of values not exactly 0 (0, 0 if none)."""
     grid = u.grid
-    # the first nonzero from each end: argmax stops there, where flatnonzero scans all N
+    # argmax stops at the first nonzero from either end and makes no index array
     nonzero = u.values != 0.0
     i0 = int(np.argmax(nonzero))
     if not nonzero[i0]:
