@@ -276,7 +276,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
 
 
 def _project_or_none(trial: SpectralField, spec: NonlinearitySpec, alpha: float) -> NehariResult | None:
-    """The Nehari projection of a trial field; None if it has no positive part."""
+    """The Nehari projection of a trial field; None where it raises NoPositivePartError."""
     try:
         return nehari_project(trial, spec, alpha)
     except NoPositivePartError:
