@@ -65,86 +65,44 @@ def _rel_l2(a: SpectralField, b: SpectralField) -> float:
 def conformance_checks(grid: Grid1D, alpha: float, seed: int = 0) -> list[CheckRow]:
     """Run the identity-check suite on one grid at one fractional order."""
     rng = np.random.default_rng(seed)
-    rows: list[CheckRow] = []
     u = random_band_limited_field(grid, rng)
     u_zero_mean = random_band_limited_field(grid, rng, zero_mean=True)
-
-    round_trip = SpectralField._from_fresh_spectrum(grid, u.spectrum)
-    rows.append(CheckRow("transform_round_trip", alpha, _rel_l2(round_trip, u), 1e-12))
-
     l2_time = lp_norm(u, 2)
-    rows.append(
-        CheckRow(
-            "plancherel", alpha, abs(l2_time - spectral_l2_norm(u)) / l2_time, 1e-12
-        )
-    )
-
     # the one-sided symbols zero the modes 0 and N/2
     interior = slice(1, grid.nyquist_index)
-    sym_left = multiplier_symbol(grid, alpha, "left_deriv")[interior]
-    sym_right = multiplier_symbol(grid, alpha, "right_deriv")[interior]
+    product = (
+        multiplier_symbol(grid, alpha, "left_deriv")[interior]
+        * multiplier_symbol(grid, alpha, "right_deriv")[interior]
+    )
     target = grid.frequencies[interior] ** (2.0 * alpha)
-    product = sym_left * sym_right
-    branch_residual = float(
-        np.max(np.abs(product - target) / target) + np.max(np.abs(product.imag) / target)
+    sequential = fractional_derivative(fractional_derivative(u, alpha, "left"), alpha, "right")
+    rows = [
+        ("transform_round_trip", alpha,
+         _rel_l2(SpectralField._from_fresh_spectrum(grid, u.spectrum), u), 1e-12),
+        ("plancherel", alpha, abs(l2_time - spectral_l2_norm(u)) / l2_time, 1e-12),
+        ("symbol_branch_product", alpha, float(
+            np.max(np.abs(product - target) / target) + np.max(np.abs(product.imag) / target)
+        ), 1e-13),
+        ("composition_vs_symbol", alpha,
+         _rel_l2(sequential, composed_operator(u, alpha)), 1e-12),
+    ]
+    # I^a is the inverse of D^a on zero-mean fields, from either side and in either order
+    orders = (
+        ("derivative_of_integral", fractional_integral, fractional_derivative),
+        ("integral_of_derivative", fractional_derivative, fractional_integral),
     )
-    rows.append(CheckRow("symbol_branch_product", alpha, branch_residual, 1e-13))
-
-    sequential = fractional_derivative(
-        fractional_derivative(u, alpha, "left"), alpha, "right"
-    )
-    rows.append(
-        CheckRow(
-            "composition_vs_symbol",
-            alpha,
-            _rel_l2(sequential, composed_operator(u, alpha)),
-            1e-12,
-        )
-    )
-
-    if alpha < 1.0:
-        for side in ("left", "right"):
-            recovered = fractional_derivative(
-                fractional_integral(u_zero_mean, alpha, side), alpha, side
-            )
-            rows.append(
-                CheckRow(
-                    f"derivative_of_integral_{side}",
-                    alpha,
-                    _rel_l2(recovered, u_zero_mean),
-                    1e-10,
-                )
-            )
-            recovered = fractional_integral(
-                fractional_derivative(u_zero_mean, alpha, side), alpha, side
-            )
-            rows.append(
-                CheckRow(
-                    f"integral_of_derivative_{side}",
-                    alpha,
-                    _rel_l2(recovered, u_zero_mean),
-                    1e-10,
-                )
-            )
-
+    for side in ("left", "right") if alpha < 1.0 else ():
+        for name, inner, outer in orders:
+            recovered = outer(inner(u_zero_mean, alpha, side), alpha, side)
+            rows.append((f"{name}_{side}", alpha, _rel_l2(recovered, u_zero_mean), 1e-10))
     norms = h_alpha_norm(u, alpha)
-    rows.append(
-        CheckRow(
-            "seminorm_equality",
-            alpha,
-            abs(norms.seminorm - norms.time_domain_seminorm) / (1.0 + norms.seminorm),
-            1e-10,
-        )
-    )
-
-    gauss = SpectralField(grid, np.exp(-grid.nodes ** 2))
-    d_exact = SpectralField(grid, -2.0 * grid.nodes * np.exp(-grid.nodes ** 2))
-    rows.append(
-        CheckRow(
-            "classical_limit",
-            1.0,
-            _rel_l2(fractional_derivative(gauss, 1.0, "left"), d_exact),
-            1e-8,
-        )
-    )
-    return rows
+    gauss = np.exp(-grid.nodes ** 2)
+    rows += [
+        ("seminorm_equality", alpha,
+         abs(norms.seminorm - norms.time_domain_seminorm) / (1.0 + norms.seminorm), 1e-10),
+        ("classical_limit", 1.0, _rel_l2(
+            fractional_derivative(SpectralField(grid, gauss), 1.0, "left"),
+            SpectralField(grid, -2.0 * grid.nodes * gauss),
+        ), 1e-8),
+    ]
+    return [CheckRow(*row) for row in rows]
