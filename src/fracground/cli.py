@@ -77,7 +77,7 @@ def _write_manifest(out_dir: str, subcommand: str, values: dict) -> None:
         "tool": "fracground",
         "version": __version__,
         "subcommand": subcommand,
-        "config": {k: values[k] for k in sorted(values)},
+        "config": values,
     }
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 

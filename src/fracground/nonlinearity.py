@@ -70,11 +70,11 @@ class Perturbation:
 
     def weight(self, t: ArrayLike) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if self.amplitude == 0.0:
-            return np.zeros_like(t)
+        with np.errstate(over="ignore"):  # a width far below |t|: the weight is 0 there
+            x_sq = (t / self.width) ** 2
         if self.kind == "gaussian":
-            return self.amplitude * np.exp(-(t / self.width) ** 2)
-        return self.amplitude / (1.0 + (t / self.width) ** 2)
+            return self.amplitude * np.exp(-x_sq)
+        return self.amplitude / (1.0 + x_sq)
 
 
 @dataclass(frozen=True)

@@ -216,7 +216,10 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     u0, _ = _best_translate(u0, spec)
     cells = 0
     if _translation_invariant(spec, grid):
-        centre = vanishing_diagnostic(u0, WINDOW_RADIUS).argmax_y
+        # on u0 / 2^(e - 1), where max(u0) = m 2^e, an exact scaling whose square neither
+        # underflows nor overflows at any amplitude and makes no transform
+        unit = SpectralField(grid, np.ldexp(u0.values, 1 - np.frexp(np.max(u0.values))[1]))
+        centre = vanishing_diagnostic(unit, WINDOW_RADIUS).argmax_y
         if abs(centre) > grid.half_width / 4.0:
             cells = int(round(centre / grid.spacing))
             u0 = shift_cells(u0, -cells)

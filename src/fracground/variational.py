@@ -196,14 +196,23 @@ def _fiber_scale(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> tupl
     has the root sigma = (||u||_alpha^2 / integral f(t, u) u)^(1/(p-1)).  As
     f(t, xi) xi = (p+1) F(t, xi), one power pass on u / max(u), where u_+^(p+1)
     neither overflows nor underflows, gives sigma, and the potential is that pass
-    times (sigma max(u))^(p+1).  A sigma that is not finite and positive, or a
-    potential that overflows (p within about 5e-4 of 1), raises NoPositivePartError.
+    times (sigma max(u))^(p+1).  With max(u) = m 2^e, 1/2 <= m < 1, the norm of
+    u / max(u) is that of u 2^(1 - e) over (2 m)^2: the scaling is exact, so the
+    norm neither underflows nor overflows at any amplitude, and it equals
+    ||u||_alpha^2 / max(u)^2 bit for bit where that is finite.  A sigma that is
+    not finite and positive, or a potential that overflows (p within about 5e-4
+    of 1), raises NoPositivePartError.
     """
     peak = float(np.max(u.values))
     if peak <= 0.0:
         raise NoPositivePartError("field has no positive part; no fiber maximizer exists")
     grid, power = u.grid, spec.p + 1.0
-    unit_norm_sq = np.float64(h_alpha_norm_sq(u, alpha) / peak / peak)
+    mantissa, exponent = np.frexp(peak)
+    squares = np.ldexp(u.spectrum.view(np.float64), 1 - exponent)
+    squares *= squares
+    # 2 m is max(u) scaled alike; an np.float64, so a flushed pairing gives inf, not an exception
+    unit_peak = 2.0 * mantissa
+    unit_norm_sq = float(_even_symbols(grid, alpha)[3] @ squares) / unit_peak / unit_peak
     unit_pairing = power * grid.spacing * float(np.sum(eval_F(spec, grid, u.values / peak)))
     # inf or NaN once the norm or the pairing is flushed (as at p >~ 1e20) or a power overflows
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

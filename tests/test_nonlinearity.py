@@ -72,6 +72,18 @@ class TestEvaluation:
         assert pert.weight(0.0) == pytest.approx(0.5)
         assert pert.weight(1e6) < 1e-9
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["gaussian", "rational"])
+    @pytest.mark.parametrize("amplitude", [0.0, 0.5])
+    def test_weight_far_narrower_than_the_nodes(self, kind, amplitude):
+        # (t / width)^2 overflows off t = 0; the weight is 0 there, without a warning
+        t = np.array([-3.0, -1e-300, 0.0, 2.5])
+        weight = Perturbation(kind, amplitude, 1e-200).weight(t)
+        assert np.array_equal(weight, [0.0, amplitude, amplitude, 0.0])
+        # amplitude 0 is the formula's zeros, with no branch of its own
+        zeros = Perturbation(kind, 0.0, 1.0).weight(t)
+        assert np.array_equal(zeros, np.zeros(4)) and not np.signbit(zeros).any()
+
     def test_constructor_basic_validation(self):
         with pytest.raises(ValueError, match="p must be"):
             NonlinearitySpec(p=1.0)

@@ -532,6 +532,25 @@ class TestConformanceSuite:
         for row in rows:
             assert row.passed, f"{row.name}: {row.residual:.3e} >= {row.tolerance:.0e}"
 
+    def test_rows_in_order_with_their_orders_and_tolerances(self, small_grid):
+        head = [
+            ("transform_round_trip", 1e-12),
+            ("plancherel", 1e-12),
+            ("symbol_branch_product", 1e-13),
+            ("composition_vs_symbol", 1e-12),
+        ]
+        inverses = [
+            (f"{order}_{side}", 1e-10)
+            for side in ("left", "right")
+            for order in ("derivative_of_integral", "integral_of_derivative")
+        ]
+        for alpha, middle in ((0.75, inverses), (1.0, [])):
+            rows = conformance_checks(small_grid, alpha)
+            expected = [(name, alpha, tol) for name, tol in head + middle]
+            expected += [("seminorm_equality", alpha, 1e-10), ("classical_limit", 1.0, 1e-8)]
+            assert [(r.name, r.alpha, r.tolerance) for r in rows] == expected
+            assert len(rows) == (10 if alpha < 1.0 else 6)
+
     @pytest.mark.parametrize("zero_mean", [False, True])
     def test_random_field_equals_the_per_mode_draws_bit_for_bit(self, default_grid, zero_mean):
         # the reference draws the real, then the imaginary part, mode by mode

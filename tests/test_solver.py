@@ -1,3 +1,4 @@
+import warnings
 from collections import deque
 
 import numpy as np
@@ -154,6 +155,23 @@ class TestSolveGroundState:
         report = solve_ground_state(autonomous_config(half_width=32.0, n_points=1024))
         assert report.converged and report.iterations > 2
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("autonomous, center", [(False, 0.0), (True, 0.0), (True, 20.0)])
+    def test_start_amplitude_changes_neither_level_nor_recentring(self, autonomous, center):
+        # the fiber scale and the recentring read u / 2^(e-1), where max(u) = m 2^e,
+        # so ||u||_alpha^2 and u^2 neither underflow nor overflow at these amplitudes
+        common = dict(half_width=32.0, n_points=2048, autonomous=autonomous)
+        base = solve_ground_state(SolveConfig(init=InitSpec(center=center), **common))
+        assert base.converged
+        for amplitude in (1e-200, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                report = solve_ground_state(
+                    SolveConfig(init=InitSpec(center=center, amplitude=amplitude), **common)
+                )
+            assert report.converged
+            assert report.recentred_shift == base.recentred_shift
+            assert abs(report.level - base.level) <= 1e-9 * base.level
 
     def test_no_positive_part_init(self):
         config = autonomous_config(init=InitSpec(amplitude=-1.0))

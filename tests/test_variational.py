@@ -285,17 +285,24 @@ class TestNehariProjection:
         for scale in (1e-80, 2e-4, 500.0, 1e120):
             result = nehari_project(scale * gaussian_field(default_grid), SPEC, 0.75)
             assert abs(result.constraint_residual) <= 1e-9
-        # ||u||_alpha^2 is subnormal, so sigma misses the manifold; the
-        # residual must say so, as a fresh field of the projected values does
+        # ||u||_alpha^2 is subnormal, but the norm of u / 2^(e-1) is not, so
+        # sigma lands on the manifold; the residual agrees with a fresh field
+        # of the projected values
         result = nehari_project(1e-160 * gaussian_field(default_grid), SPEC, 0.75)
         fresh = SpectralField.from_values(default_grid, result.projected.values)
         f_vals = eval_f(SPEC, default_grid.nodes, fresh.values)
         pairing = default_grid.spacing * np.sum(f_vals * fresh.values)
         fresh_residual = 1.0 - pairing / h_alpha_norm_sq(fresh, 0.75)
+        assert abs(result.constraint_residual) <= 1e-9
         assert abs(result.constraint_residual - fresh_residual) <= 1e-12
-        # ||u||_alpha^2 underflows to zero, so no finite fiber scale exists
-        with pytest.raises(NoPositivePartError):
-            nehari_project(1e-300 * gaussian_field(default_grid), SPEC, 0.75)
+        # ||u||_alpha^2 underflows to zero, and the scaled norm still projects
+        result = nehari_project(1e-300 * gaussian_field(default_grid), SPEC, 0.75)
+        assert abs(result.constraint_residual) <= 1e-9
+        # a subnormal peak: sigma itself exceeds the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NoPositivePartError):
+                nehari_project(1e-310 * gaussian_field(default_grid), SPEC, 0.75)
 
 
 class TestTranslationInvariance:
