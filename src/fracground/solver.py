@@ -216,8 +216,8 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     u0, _ = _best_translate(u0, spec)
     cells = 0
     if _translation_invariant(spec, grid):
-        # on u0 / 2^(e - 1), where max(u0) = m 2^e, an exact scaling whose square neither
-        # underflows nor overflows at any amplitude and makes no transform
+        # of u0 / 2^(e - 1), where max(u0) = m 2^e: the exact scaling keeps u0^2 from
+        # underflowing or overflowing, and the field's spectrum is never made
         unit = SpectralField(grid, np.ldexp(u0.values, 1 - np.frexp(np.max(u0.values))[1]))
         centre = vanishing_diagnostic(unit, WINDOW_RADIUS).argmax_y
         if abs(centre) > grid.half_width / 4.0:
