@@ -153,28 +153,25 @@ class FiberScan:
 def fiber_map(u: SpectralField, spec: NonlinearitySpec, alpha: float, sigma_grid) -> FiberScan:
     """Sample psi(sigma) = E(sigma u) along a ray, counting slope sign changes.
 
-    F(t, .) is homogeneous of degree p + 1, so psi has the closed form
-    sigma^2 ||u||_alpha^2 / 2 - sigma^(p+1) integral F(t, u): one norm and one
-    potential serve every sigma.  The sign-change count of the discrete slope
-    is the sampled version of fiber unimodality (one + to - change).  A zero
-    potential, of a field with no positive part or one whose every power
-    flushes to 0 (as at p >~ 1e20), leaves no maximizer on the ray and raises
-    NoPositivePartError.
+    psi is the projection's curve: with the fiber root sigma* and the
+    potential P* = h sum F(t, sigma* u) of ``_fiber_scale``, homogeneity of
+    degree p + 1 gives P(sigma u) = r^(p+1) P* for r = sigma / sigma*, and
+    sigma*^2 ||u||_alpha^2 = (p + 1) P* on the manifold, so
+    psi(sigma) = P* r^2 ((p + 1)/2 - r^(p-1)) exactly, at any amplitude of u.
+    The sign-change count of the discrete slope is the sampled version of
+    fiber unimodality (one + to - change).  A field with no positive part, or
+    one whose every power flushes to 0 (as at p >~ 1e20), has no maximizer on
+    the ray: NoPositivePartError is raised where ``_fiber_scale`` raises it.
     """
     alpha = validate_order(alpha, within="variational")
     sigmas = np.asarray(list(sigma_grid), dtype=float)
     if sigmas.size == 0 or not np.all((0 < sigmas) & (sigmas < np.inf)):
         raise ValueError("sigma grid must be nonempty, positive and finite")
-    if not np.any(u.values != 0):
-        raise ValueError("fiber map requires a nonzero field")
-    norm_sq = h_alpha_norm_sq(u, alpha)
-    potential = u.grid.spacing * float(np.sum(eval_F(spec, u.grid, u.values)))
-    if potential == 0.0:
-        raise NoPositivePartError("field has no positive part or its potential flushes to 0")
-    with np.errstate(over="ignore"):  # at large p sigma^(p+1) = inf, so psi = -inf
-        growth = sigmas ** (spec.p + 1.0)
-    values = 0.5 * sigmas * sigmas * norm_sq - growth * potential
-    with np.errstate(invalid="ignore"):  # -inf - (-inf): a NaN slope, not counted
+    sigma, potential = _fiber_scale(u, spec, alpha)
+    # a power that overflows makes psi = -inf, and -inf - (-inf) is a NaN slope, not counted
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = sigmas / sigma
+        values = potential * ratios * ratios * (0.5 * (spec.p + 1.0) - ratios ** (spec.p - 1.0))
         slopes = np.diff(values)
     signs = np.sign(slopes[(slopes != 0.0) & ~np.isnan(slopes)])
     changes = int(np.count_nonzero(np.diff(signs) != 0))

@@ -305,6 +305,14 @@ class TestOtherCommands:
         assert lines[0] == "sigma,psi"
         assert len(lines) == 201
 
+    @pytest.mark.filterwarnings("error")
+    def test_fiber_scan_of_a_huge_start(self, tmp_path, capsys):
+        # the scan reads the fiber root of u, so sigma u never overflows to NaN
+        out = tmp_path / "fiber"
+        assert run(["fiber-scan", "--output-dir", str(out), "--set", "init.amplitude=1e200"]) == 0
+        assert capsys.readouterr().err == ""
+        assert "nan" not in (out / "fiber.csv").read_text()
+
     def test_validate_ops_all_rows_pass(self, tmp_path):
         out = tmp_path / "ops"
         code = run(["validate-ops", "--output-dir", str(out), "--set", "N=2048"])

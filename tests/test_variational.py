@@ -209,8 +209,22 @@ class TestFiberMap:
             with pytest.raises(NoPositivePartError):
                 fiber_map(gaussian_field(default_grid), flushed, 0.75, [0.5, 2.0])
 
+    @pytest.mark.parametrize("amplitude", [1e-200, 1e-80, 1e80, 1e200])
+    def test_far_amplitudes_scan_the_projection_curve(self, default_grid, amplitude):
+        # psi is read from the fiber root and its potential, so neither the norm
+        # nor the potential of u itself overflows or flushes to 0
+        u = amplitude * gaussian_field(default_grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = nehari_project(u, SPEC, 0.75)
+            scan = fiber_map(u, SPEC, 0.75, result.sigma * np.geomspace(0.02, 50.0, 61))
+            peak = fiber_map(u, SPEC, 0.75, [result.sigma]).values[0]
+        assert not np.any(np.isnan(scan.values))
+        assert scan.derivative_sign_changes == 1
+        assert abs(peak - result.energy) <= 1e-13 * abs(result.energy)
+
     def test_rejects_zero_field_and_bad_grid(self, default_grid):
-        with pytest.raises(ValueError, match="nonzero"):
+        with pytest.raises(NoPositivePartError, match="no positive part"):
             fiber_map(zero_field(default_grid), SPEC, 0.75, [1.0])
         with pytest.raises(ValueError, match="positive"):
             fiber_map(gaussian_field(default_grid), SPEC, 0.75, [0.0, 1.0])
