@@ -199,12 +199,13 @@ def fractional_integral(u: SpectralField, alpha: float, side: str) -> SpectralFi
     """One-sided fractional integral of order alpha in (0, 1).
 
     The zero-frequency multiplier is singular, so fields whose mean exceeds
-    1e-10 are rejected; the zero mode of admissible fields maps to 0.
+    1e-10 of their largest |u| are rejected; the zero mode of admissible
+    fields maps to 0.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     mean = float(np.mean(u.values))
-    if abs(mean) > 1e-10:
+    if abs(mean) > 1e-10 * np.max(np.abs(u.values)):
         raise ZeroModeSingularError(
             f"fractional integral requires a zero-mean field, got mean {mean:.3e}"
         )

@@ -213,7 +213,6 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     u0 = config.init.build(grid)
     if float(np.max(u0.values)) <= 0.0:
         raise NoPositivePartError("initial field has no positive part")
-    u0, _ = _best_translate(u0, spec)
     cells = 0
     if _translation_invariant(spec, grid):
         # of u0 / 2^(e - 1), where max(u0) = m 2^e: the exact scaling keeps u0^2 from
@@ -223,6 +222,8 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
         if abs(centre) > grid.half_width / 4.0:
             cells = int(round(centre / grid.spacing))
             u0 = shift_cells(u0, -cells)
+    else:
+        u0, _ = _best_translate(u0, spec)
 
     accepted = nehari_project(u0, spec, alpha)
     sigma_history = [accepted.sigma]
@@ -440,13 +441,11 @@ def mountain_pass_path(
         if cum[-1] == 0.0:
             return
         targets = np.linspace(0.0, cum[-1], len(path))
+        # cum[seg] < s <= cum[seg + 1] for every inner target s, so no segment has width 0
+        segs = np.searchsorted(cum, targets[1:-1]) - 1
+        lams = (targets[1:-1] - cum[segs]) / (cum[segs + 1] - cum[segs])
         nodes, node_norms = list(path), list(norms)
-        seg = 0
-        for i, s in enumerate(targets[1:-1], start=1):
-            while cum[seg + 1] < s:
-                seg += 1
-            width = cum[seg + 1] - cum[seg]
-            lam = float((s - cum[seg]) / width) if width > 0 else 0.0
+        for i, seg, lam in zip(range(1, len(path) - 1), segs.tolist(), lams.tolist()):
             a, b = nodes[seg], nodes[seg + 1]
             values = (1.0 - lam) * a.values + lam * b.values
             path[i] = SpectralField._join(grid, values, (1.0 - lam) * a.spectrum + lam * b.spectrum)

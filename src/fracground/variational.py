@@ -262,13 +262,12 @@ def _best_translate(u: SpectralField, spec: NonlinearitySpec) -> tuple[SpectralF
     evaluation that does not raise J strictly marks its rounding floor and
     ends the search.  A sub-cell shift can peak above max(u), and at large p
     its J then overflows to inf: a rise, after which the parabola's vertex is
-    NaN and ends the search.  With a = 0 the field is returned as it is: J is
-    then flat, and a search would move u by rounding.
+    NaN and ends the search.  The solver calls it only when a is not 0 on the
+    grid (``_translation_invariant``): with a = 0, J is flat, and a search
+    would move u by rounding.
     """
     grid = u.grid
     h, n = grid.spacing, grid.n_points
-    if _translation_invariant(spec, grid):
-        return u, 0.0
     coeff = _coefficient(spec, grid)
     peak, power = float(np.max(u.values)), spec.p + 1.0
     unit_power = _power_plus(u.values / peak, power)

@@ -239,6 +239,21 @@ class TestFractionalIntegral:
         with pytest.raises(ZeroModeSingularError):
             fractional_integral(u, 0.5, "left")
 
+    def test_large_zero_mean_field_accepted(self, default_grid):
+        # at amplitude 1e15 the grid mode's mean rounds to about -0.057, 6e-17 of its peak
+        u, _ = grid_mode(default_grid, 40)
+        big = SpectralField.from_values(default_grid, 1e15 * u.values)
+        assert abs(np.mean(big.values)) > 1e-10
+        recovered = fractional_derivative(fractional_integral(big, 0.75, "left"), 0.75, "left")
+        assert rel_l2(recovered, big) < 1e-10
+
+    def test_small_field_with_a_mean_rejected(self, default_grid):
+        # a mean of 1e-5 of the peak is not rounding, however small the field
+        u, _ = grid_mode(default_grid, 40)
+        tiny = SpectralField.from_values(default_grid, 1e-20 * (u.values + 1e-5))
+        with pytest.raises(ZeroModeSingularError):
+            fractional_integral(tiny, 0.75, "left")
+
 
 class TestComposedOperator:
     def test_cosine_eigenfunction(self, default_grid):

@@ -361,10 +361,22 @@ class TestTranslationSearch:
         assert abs(shift + center) <= 1e-6
         assert np.max(np.abs(moved.values - gaussian_field(default_grid).values)) <= 1e-6
 
-    def test_skipped_without_perturbation(self, default_grid):
-        u = gaussian_field(default_grid, center=0.7)
-        moved, shift = _best_translate(u, NonlinearitySpec().autonomous())
-        assert moved is u and shift == 0.0
+    @pytest.mark.parametrize(
+        "autonomous, amplitude, searches", [(True, 0.5, 0), (False, 1e-17, 0), (False, 0.5, 1)]
+    )
+    def test_searched_only_with_perturbation(self, monkeypatch, autonomous, amplitude, searches):
+        # an amplitude that rounds away on the grid is a = 0: the start is recentred, not searched
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _best_translate(*args)
+
+        monkeypatch.setattr(solver_module, "_best_translate", counted)
+        spec = NonlinearitySpec(perturbation=Perturbation(amplitude=amplitude))
+        config = SolveConfig(half_width=32.0, n_points=1024, spec=spec, autonomous=autonomous)
+        assert solve_ground_state(config).converged
+        assert len(calls) == searches
 
     def test_an_overflowed_potential_ends_the_search(self, monkeypatch):
         # at p = 4027 this narrow start off the nodes peaks above its largest
