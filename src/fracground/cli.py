@@ -30,9 +30,9 @@ from .errors import FracgroundError
 from .grid import field_to_csv, make_grid
 from .nonlinearity import validate_hypotheses
 from .solver import compare_levels, solve_ground_state
-from .variational import fiber_map
+from .variational import _fiber_scale, fiber_map
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _CONFIG_HELP = "\n".join(
     f"  {key} (default {default!r})" for key, (default, _) in DEFAULTS.items()
@@ -95,7 +95,6 @@ def _cmd_solve(values: dict, out_dir: str) -> int:
         "residual_history": report.residual_history,
         "max_mass": report.max_mass,
         "argmax_y": report.argmax_y,
-        "recentred_shift": report.recentred_shift,
     }
     _write_json(os.path.join(out_dir, "report.json"), payload)
     field_to_csv(report.field, os.path.join(out_dir, "field.csv"))
@@ -134,9 +133,10 @@ def _cmd_compare(values: dict, out_dir: str) -> int:
 
 def _cmd_fiber_scan(values: dict, out_dir: str) -> int:
     config = build_solve_config(values)
-    sigmas = np.geomspace(0.01, 10.0, 200)
-    seed_field = config.init.build(config.grid())
-    scan = fiber_map(seed_field, config.nonlinearity(), config.alpha, sigmas)
+    seed_field, spec = config.init.build(config.grid()), config.nonlinearity()
+    # the samples span the start's fiber root, so they show its one maximum at any amplitude
+    sigmas = _fiber_scale(seed_field, spec, config.alpha)[0] * np.geomspace(0.01, 10.0, 200)
+    scan = fiber_map(seed_field, spec, config.alpha, sigmas)
     samples = zip(scan.sigmas.tolist(), scan.values.tolist())
     _write_csv(os.path.join(out_dir, "fiber.csv"), "sigma,psi", samples)
     print(

@@ -43,7 +43,6 @@ __all__ = [
     "spectral_l2_norm",
     "inner",
     "gaussian_field",
-    "shift_cells",
     "translate",
     "field_to_csv",
     "field_from_csv",
@@ -394,11 +393,6 @@ def gaussian_field(
     return SpectralField(grid, values)
 
 
-def shift_cells(fld: SpectralField, n_cells: int) -> SpectralField:
-    """Translate a field by an integer number of grid cells (periodic)."""
-    return SpectralField(fld.grid, np.roll(fld.values, int(n_cells)))
-
-
 def translate(fld: SpectralField, shift: float) -> SpectralField:
     """Translate a field by any real shift, t -> u(t - shift) (periodic).
 
@@ -406,7 +400,7 @@ def translate(fld: SpectralField, shift: float) -> SpectralField:
     norm unchanged.  The Nyquist mode is its own mirror, so its factor keeps
     only the real part cos(w shift), which keeps the values real (and scales
     that one mode, negligible on resolved fields); a whole-cell shift is then
-    ``shift_cells`` up to rounding.
+    ``np.roll`` of the values by that many cells, up to rounding.
     """
     grid = fld.grid
     phase = np.exp(-1j * float(shift) * grid.frequencies)

@@ -11,10 +11,10 @@ strictly lowers the energy.  So accepted energies strictly decrease.  When
 a(t) is not zero on the grid, the start is first moved to its translate of
 least projected energy: the perturbed level lies strictly below the
 autonomous one, and translation is the one direction along which descent
-from an off-centre start would crawl.  A sliding-window mass diagnostic
-locates where a field concentrates; when a = 0 the start is recentred once,
-before descent, if it concentrates too far out, mirroring the translation
-normalization that restores compactness in the underlying analysis.
+from an off-centre start would crawl.  When a = 0 on the grid, translation
+is an exact symmetry of the periodic box that the descent commutes with, so
+the start stays where it is.  A sliding-window mass diagnostic locates where
+the result concentrates.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NoPositivePartError
-from .grid import Grid1D, SpectralField, field_from_csv, gaussian_field, make_grid, shift_cells
+from .grid import Grid1D, SpectralField, field_from_csv, gaussian_field, make_grid
 from .nonlinearity import NonlinearitySpec
 # h_alpha_norm_sq is unused here: it is bound by name so that bench/tracer.py can rebind it
 from .operators import _pairing, h_alpha_norm_sq, validate_order
@@ -37,7 +37,6 @@ from .variational import (
     _segment_bounds,
     _segment_energies,
     _segment_norms,
-    _translation_invariant,
     energy,
     gradient,
     nehari_project,
@@ -56,8 +55,7 @@ __all__ = [
     "compare_levels",
 ]
 
-#: radius of the mass window that recentres a start with a = 0, once, before
-#: descent, and that the report reads
+#: radius of the mass window whose largest mass and its centre the report reads
 WINDOW_RADIUS = 1.0
 
 #: descent step size below which the line search gives up
@@ -161,7 +159,6 @@ class SolveReport:
     status: str
     max_mass: float
     argmax_y: float
-    recentred_shift: float
     nehari_residual: float
 
     @property
@@ -197,12 +194,12 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     the box [-L, L), with an error of about K L^-(1 + 2 alpha) to the real
     line's.
 
-    When 1 + a(t) is not exactly 1 on the grid, the start is first moved to
-    its translate of least projected energy (``variational._best_translate``).
-    When it is (``autonomous``, amplitude 0 or an amplitude that rounds
-    away), every translate has the same energy, and a start that
-    concentrates beyond L/4 is instead recentred by whole cells; the
-    iteration commutes with such shifts.
+    The start is first moved to its translate of least projected energy
+    (``variational._best_translate``).  Where 1 + a(t) is exactly 1 on the
+    grid (``autonomous``, amplitude 0 or an amplitude that rounds away),
+    every translate has the same energy and the start stays where it is: on
+    the periodic box translation is an exact symmetry, which the iteration
+    commutes with.
     """
     grid = config.grid()
     if grid.spacing > WINDOW_RADIUS:
@@ -213,17 +210,7 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
     u0 = config.init.build(grid)
     if float(np.max(u0.values)) <= 0.0:
         raise NoPositivePartError("initial field has no positive part")
-    cells = 0
-    if _translation_invariant(spec, grid):
-        # of u0 / 2^(e - 1), where max(u0) = m 2^e: the exact scaling keeps u0^2 from
-        # underflowing or overflowing, and the field's spectrum is never made
-        unit = SpectralField(grid, np.ldexp(u0.values, 1 - np.frexp(np.max(u0.values))[1]))
-        centre = vanishing_diagnostic(unit, WINDOW_RADIUS).argmax_y
-        if abs(centre) > grid.half_width / 4.0:
-            cells = int(round(centre / grid.spacing))
-            u0 = shift_cells(u0, -cells)
-    else:
-        u0, _ = _best_translate(u0, spec)
+    u0, _ = _best_translate(u0, spec)
 
     accepted = nehari_project(u0, spec, alpha)
     sigma_history = [accepted.sigma]
@@ -245,7 +232,6 @@ def solve_ground_state(config: SolveConfig) -> SolveReport:
             status=status,
             max_mass=diag.max_mass,
             argmax_y=diag.argmax_y,
-            recentred_shift=cells * grid.spacing,
             nehari_residual=accepted.constraint_residual,
         )
 
@@ -337,8 +323,9 @@ def mountain_pass_path(
 ) -> MountainPassReport:
     """Deform a segment path from 0 to a negative-energy endpoint downhill.
 
-    The endpoint is the seed scaled by the least power of two >= 1 past which
-    E < 0 on its ray, computed from the fiber scale.  Each sweep relaxes the
+    The endpoint is the seed scaled by the least power of two past which
+    E < 0 on its ray, computed from the fiber scale, so it lies at the scale
+    of the fiber root whatever the seed's amplitude.  Each sweep relaxes the
     interior nodes by preconditioned descent with displacement capped by the
     distance to the neighbouring nodes, skips nodes already below zero energy
     (they cannot carry the path maximum, which is positive), and
@@ -397,7 +384,7 @@ def mountain_pass_path(
     sigma, _ = _fiber_scale(u_init, spec, alpha)
     # E(s u) < 0 exactly for s > s0 = sigma ((p + 1) / 2)^(1/(p-1)), and s0 < 2^exponent
     _, exponent = np.frexp(sigma * (0.5 * (spec.p + 1.0)) ** (1.0 / (spec.p - 1.0)))
-    scale = 2.0 ** max(0, int(exponent))
+    scale = float(np.ldexp(1.0, int(exponent)))
     endpoint = scale * u_init
 
     def distance_sq(a: SpectralField, b: SpectralField) -> float:
@@ -518,16 +505,20 @@ class LevelComparison:
 def compare_levels(config: SolveConfig) -> LevelComparison:
     """Solve the perturbed and autonomous problems on one grid and compare levels.
 
-    Also reports the one-shot bound: the autonomous ground state reprojected
-    under the perturbed functional already has energy below the autonomous
-    level whenever the perturbation is active somewhere.
+    Also reports the one-shot bound: the autonomous ground state, moved to
+    its translate of least projected energy under the perturbed functional
+    (``variational._best_translate``) and reprojected there, already has
+    energy below the autonomous level whenever the perturbation is active
+    somewhere.  It is strict, as the gap is, when it lies below c_bar by more
+    than 10 residual_tol; with a = 0 it is c_bar up to rounding.
     """
     perturbed = solve_ground_state(replace(config, autonomous=False))
     autonomous = solve_ground_state(replace(config, autonomous=True))
     gap = autonomous.level - perturbed.level
     strict = gap > 10.0 * config.residual_tol
-    one_shot = nehari_project(autonomous.field, config.spec, config.alpha)
-    one_shot_strict = one_shot.energy < autonomous.level
+    translated, _ = _best_translate(autonomous.field, config.spec)
+    one_shot = nehari_project(translated, config.spec, config.alpha)
+    one_shot_strict = autonomous.level - one_shot.energy > 10.0 * config.residual_tol
     return LevelComparison(
         c=perturbed.level,
         c_bar=autonomous.level,

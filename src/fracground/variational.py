@@ -7,9 +7,10 @@ Rays sigma -> sigma * u carry a one-dimensional restriction of the energy
 the stationarity manifold {u != 0 : <grad E(u), u> = 0}; minimizing the
 projected energy over trial fields gives an upper bound for the least
 positive critical level.  By the same homogeneity, the projected energy of
-a translate falls as one potential integral rises, which the solver's
-translation search maximizes.  Every function takes the nonlinearity it is
-to evaluate; the autonomous problem is ``spec.autonomous()``.
+a translate falls as one potential integral rises, which the translation
+search of the solve and of the one-shot bound maximizes.  Every function
+takes the nonlinearity it is to evaluate; the autonomous problem is
+``spec.autonomous()``.
 """
 
 from __future__ import annotations
@@ -238,15 +239,6 @@ def nehari_project(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> Ne
     return NehariResult(sigma, projected, residual, quadratic - potential)
 
 
-def _translation_invariant(spec: NonlinearitySpec, grid: Grid1D) -> bool:
-    """Whether 1 + a(t) is exactly 1 at every node, so that every translate has the same energy.
-
-    This is the one test of a = 0: an amplitude that rounds away on the grid
-    passes it as amplitude 0 does.
-    """
-    return bool(np.all(_coefficient(spec, grid) == 1.0))
-
-
 #: cap on the sub-cell evaluations of the translation search
 _TRANSLATE_EVALS = 5
 
@@ -262,13 +254,16 @@ def _best_translate(u: SpectralField, spec: NonlinearitySpec) -> tuple[SpectralF
     evaluation that does not raise J strictly marks its rounding floor and
     ends the search.  A sub-cell shift can peak above max(u), and at large p
     its J then overflows to inf: a rise, after which the parabola's vertex is
-    NaN and ends the search.  The solver calls it only when a is not 0 on the
-    grid (``_translation_invariant``): with a = 0, J is flat, and a search
-    would move u by rounding.
+    NaN and ends the search.  When 1 + a(t) is exactly 1 at every node (the
+    one test of a = 0: an amplitude that rounds away on the grid passes it as
+    amplitude 0 does), every translate has the same energy and J is flat, so
+    u itself is returned with shift 0.0 rather than moved by rounding.
     """
     grid = u.grid
     h, n = grid.spacing, grid.n_points
     coeff = _coefficient(spec, grid)
+    if np.all(coeff == 1.0):
+        return u, 0.0
     peak, power = float(np.max(u.values)), spec.p + 1.0
     unit_power = _power_plus(u.values / peak, power)
     cells = h / power * np.fft.irfft(np.fft.rfft(coeff) * np.conj(np.fft.rfft(unit_power)), n)

@@ -39,7 +39,7 @@ class TestSolveCommand:
         summary = capsys.readouterr().out
         assert "level=" in summary and "iterations=" in summary
         report = json.loads((out / "report.json").read_text())
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["converged"] is True
 
     def test_report_mass_matches_field_csv(self, tmp_path):
@@ -59,11 +59,12 @@ class TestSolveCommand:
         assert "(1/2, 1)" in err
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
-        # recentre is no key: recentring is a fixed step before descent;
+        # recentre is no key: with a = 0 translation is an exact symmetry, so no start is moved;
         # init.kind is no key: a non-empty init.path alone names the start;
         # tau is no key: every descent step starts at the full Petviashvili step;
-        # the mass window, the operator-check seed and the fiber-scan range are
-        # constants; the hypotheses are checked in closed form, so no hyp.* key exists
+        # the mass window, the operator-check seed and the fiber-scan span (around the
+        # start's fiber root) are constants; the hypotheses are checked in closed form,
+        # so no hyp.* key exists
         for item in (
             "alpa=0.7", "recentre=true", "init.kind=custom", "tau=1", "window_radius=0.001", "seed=1",
             "fiber.sigma_min=0.01", "fiber.sigma_max=10", "fiber.count=50",
@@ -306,11 +307,16 @@ class TestOtherCommands:
         assert len(lines) == 201
 
     @pytest.mark.filterwarnings("error")
-    def test_fiber_scan_of_a_huge_start(self, tmp_path, capsys):
-        # the scan reads the fiber root of u, so sigma u never overflows to NaN
+    @pytest.mark.parametrize("amplitude", ["1e-200", "1e200"])
+    def test_fiber_scan_of_a_huge_start(self, tmp_path, capsys, amplitude):
+        # the scan reads the fiber root of u, so sigma u never overflows to NaN,
+        # and its samples span that root, so they show the one maximum
         out = tmp_path / "fiber"
-        assert run(["fiber-scan", "--output-dir", str(out), "--set", "init.amplitude=1e200"]) == 0
-        assert capsys.readouterr().err == ""
+        args = ["fiber-scan", "--output-dir", str(out), "--set", f"init.amplitude={amplitude}"]
+        assert run(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.rstrip().endswith("slope sign changes=1")
         assert "nan" not in (out / "fiber.csv").read_text()
 
     def test_validate_ops_all_rows_pass(self, tmp_path):

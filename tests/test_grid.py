@@ -15,7 +15,6 @@ from fracground import (
     inner,
     lp_norm,
     make_grid,
-    shift_cells,
     solve_ground_state,
     spectral_l2_norm,
     translate,
@@ -219,8 +218,7 @@ class TestLazySpectrum:
         assert len(rfft_calls) == 1
         second = u.spectrum
         assert second is first and not first.flags.writeable
-        # a whole-cell shift and a field built from a spectrum transform nothing either
-        shift_cells(u, 5)
+        # a field built from a spectrum transforms nothing either
         translate(u, 0.5)
         assert len(rfft_calls) == 1
         signs = (-1.0) ** np.arange(default_grid.nyquist_index + 1)
@@ -408,11 +406,6 @@ class TestFieldAlgebra:
         with pytest.raises(ValueError):
             u.values[0] = 1.0
 
-    def test_shift_cells_exact(self, small_grid):
-        u = gaussian_field(small_grid, center=0.0, width=1.0)
-        shifted = shift_cells(u, 12)
-        assert np.array_equal(shifted.values, np.roll(u.values, 12))
-
     def test_inner_product(self, small_grid):
         u = gaussian_field(small_grid, width=1.0)
         assert abs(inner(u, u) - lp_norm(u, 2) ** 2) < 1e-14
@@ -436,10 +429,10 @@ class TestTranslate:
         assert np.max(np.abs(translate(u, shift).values - factor * nyquist)) <= 1e-12
 
     @pytest.mark.parametrize("cells", [1, -7, 100, 511, -512])
-    def test_whole_cells_match_shift_cells(self, small_grid, rng, cells):
+    def test_whole_cells_match_np_roll(self, small_grid, rng, cells):
         u = random_band_limited_field(small_grid, rng)
         moved = translate(u, cells * small_grid.spacing)
-        assert np.max(np.abs(moved.values - shift_cells(u, cells).values)) <= 1e-12
+        assert np.max(np.abs(moved.values - np.roll(u.values, cells))) <= 1e-12
 
     @pytest.mark.parametrize("shift", [0.3, -1.7, 0.01 / 3, 20.123])
     def test_round_trip_and_invariants(self, small_grid, rng, shift):

@@ -547,6 +547,13 @@ class TestConformanceSuite:
         for row in rows:
             assert row.passed, f"{row.name}: {row.residual:.3e} >= {row.tolerance:.0e}"
 
+    @pytest.mark.parametrize("half_width", [1e-10, 1e10])
+    def test_classical_limit_row_passes_on_any_box(self, half_width):
+        # the row's Gaussian has width L/64, so the check does not depend on the units of t
+        rows = conformance_checks(make_grid(half_width, 1024), 0.75)
+        (row,) = [row for row in rows if row.name == "classical_limit"]
+        assert row.passed, f"{row.residual:.3e} >= {row.tolerance:.0e}"
+
     def test_rows_in_order_with_their_orders_and_tolerances(self, small_grid):
         head = [
             ("transform_round_trip", 1e-12),

@@ -16,7 +16,6 @@ from fracground import (
     gaussian_field,
     make_grid,
     mountain_pass_path,
-    shift_cells,
     solve_ground_state,
     vanishing_diagnostic,
 )
@@ -73,7 +72,7 @@ class TestVanishingDiagnostic:
         u = gaussian_field(default_grid, center=0.0, width=1.0)
         base = vanishing_diagnostic(u, 1.0)
         for cells in (64, 320, -512):
-            moved = vanishing_diagnostic(shift_cells(u, cells), 1.0)
+            moved = vanishing_diagnostic(SpectralField(default_grid, np.roll(u.values, cells)), 1.0)
             assert moved.max_mass == pytest.approx(base.max_mass, rel=1e-12)
             expected = base.argmax_y + cells * default_grid.spacing
             assert moved.argmax_y == pytest.approx(expected)
@@ -131,20 +130,21 @@ class TestSolveGroundState:
         assert first.converged and second.converged
         assert abs(first.level - second.level) <= 1e-6
 
-    def test_recentring_tracks_offcentre_bump(self):
-        config = autonomous_config(
-            half_width=32.0,
-            n_points=2048,
-            init=InitSpec(center=20.0, width=1.5, amplitude=1.0),
-        )
-        report = solve_ground_state(config)
+    def test_offcentre_autonomous_start_stays_in_place(self):
+        # with a = 0 translation is an exact symmetry of the box, which the
+        # descent commutes with: the start at 20 solves as the centred one, moved
+        common = dict(half_width=32.0, n_points=2048)
+        centred = solve_ground_state(autonomous_config(**common))
+        report = solve_ground_state(autonomous_config(init=InitSpec(center=20.0), **common))
         assert report.converged
-        # the off-centre bump concentrates past L/4, so it was pulled back
-        assert report.recentred_shift != 0.0
-        assert abs(report.argmax_y) <= 8.0
+        assert report.argmax_y == 20.0
+        assert report.iterations == centred.iterations
+        assert abs(report.level - centred.level) <= 1e-12 * centred.level
+        moved = np.roll(centred.field.values, 640)
+        assert np.max(np.abs(report.field.values - moved)) <= 1e-12
 
-    def test_diagnostic_runs_before_descent_and_for_the_report(self, monkeypatch):
-        # once on the start (recentring) and once on the result, not once per step
+    def test_diagnostic_runs_once_for_the_report(self, monkeypatch):
+        # on the result only, not on the start and not once per step
         calls = []
 
         def counted(u, r):
@@ -154,12 +154,12 @@ class TestSolveGroundState:
         monkeypatch.setattr(solver_module, "vanishing_diagnostic", counted)
         report = solve_ground_state(autonomous_config(half_width=32.0, n_points=1024))
         assert report.converged and report.iterations > 2
-        assert len(calls) <= 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("autonomous, center", [(False, 0.0), (True, 0.0), (True, 20.0)])
-    def test_start_amplitude_changes_neither_level_nor_recentring(self, autonomous, center):
-        # the fiber scale and the recentring read u / 2^(e-1), where max(u) = m 2^e,
-        # so ||u||_alpha^2 and u^2 neither underflow nor overflow at these amplitudes
+    def test_start_amplitude_changes_neither_level_nor_location(self, autonomous, center):
+        # the fiber scale reads u / 2^(e-1), where max(u) = m 2^e, so
+        # ||u||_alpha^2 neither underflows nor overflows at these amplitudes
         common = dict(half_width=32.0, n_points=2048, autonomous=autonomous)
         base = solve_ground_state(SolveConfig(init=InitSpec(center=center), **common))
         assert base.converged
@@ -170,7 +170,7 @@ class TestSolveGroundState:
                     SolveConfig(init=InitSpec(center=center, amplitude=amplitude), **common)
                 )
             assert report.converged
-            assert report.recentred_shift == base.recentred_shift
+            assert report.argmax_y == base.argmax_y
             assert abs(report.level - base.level) <= 1e-9 * base.level
 
     def test_no_positive_part_init(self):
@@ -361,22 +361,15 @@ class TestTranslationSearch:
         assert abs(shift + center) <= 1e-6
         assert np.max(np.abs(moved.values - gaussian_field(default_grid).values)) <= 1e-6
 
-    @pytest.mark.parametrize(
-        "autonomous, amplitude, searches", [(True, 0.5, 0), (False, 1e-17, 0), (False, 0.5, 1)]
-    )
-    def test_searched_only_with_perturbation(self, monkeypatch, autonomous, amplitude, searches):
-        # an amplitude that rounds away on the grid is a = 0: the start is recentred, not searched
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return _best_translate(*args)
-
-        monkeypatch.setattr(solver_module, "_best_translate", counted)
+    @pytest.mark.parametrize("autonomous, amplitude", [(True, 0.5), (False, 0.0), (False, 1e-17)])
+    def test_a_zero_returns_the_input(self, autonomous, amplitude):
+        # the flag, amplitude 0 and an amplitude that rounds away on the grid
+        # are one a = 0 problem: every translate has the same energy, so none is taken
         spec = NonlinearitySpec(perturbation=Perturbation(amplitude=amplitude))
         config = SolveConfig(half_width=32.0, n_points=1024, spec=spec, autonomous=autonomous)
-        assert solve_ground_state(config).converged
-        assert len(calls) == searches
+        u = gaussian_field(config.grid(), center=5.0)
+        moved, shift = _best_translate(u, config.nonlinearity())
+        assert moved is u and shift == 0.0
 
     def test_an_overflowed_potential_ends_the_search(self, monkeypatch):
         # at p = 4027 this narrow start off the nodes peaks above its largest
@@ -514,16 +507,27 @@ class TestMountainPass:
 
     @pytest.mark.parametrize("amplitude", [1e-12, 0.05, 1.0, 50.0])
     def test_endpoint_is_the_least_power_of_two_past_zero(self, amplitude):
-        # computed from the ray's closed form, with no cap: 1e-12 needs 2^42
+        # computed from the ray's closed form, with no cap either way: 1e-12 needs
+        # 2^42, and 50.0 needs 2^-4
         config = autonomous_config(
             half_width=32.0, n_points=1024, init=InitSpec(amplitude=amplitude, width=0.5)
         )
         scale = mountain_pass_path(config, n_nodes=5, n_deform=0).endpoint_scale
-        assert scale >= 1.0 and np.frexp(scale)[0] == 0.5
+        assert np.frexp(scale)[0] == 0.5
         u, spec = config.init.build(config.grid()), config.nonlinearity()
         assert energy(scale * u, spec, config.alpha).total < 0.0
-        if scale > 1.0:
-            assert energy(0.5 * scale * u, spec, config.alpha).total >= 0.0
+        assert energy(0.5 * scale * u, spec, config.alpha).total >= 0.0
+
+    def test_an_overflowing_start_bounds_the_level(self):
+        # the start's potential overflows at amplitude 1e80; scaled down to its
+        # endpoint, the path runs every sweep and its max stays an upper bound
+        config = autonomous_config(half_width=32.0, n_points=1024, init=InitSpec(amplitude=1e80))
+        level = solve_ground_state(config).level
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = mountain_pass_path(config, n_nodes=17, n_deform=20)
+        assert report.endpoint_scale < 1.0
+        assert report.path_max_energy >= level
 
     @pytest.mark.parametrize("alpha, autonomous", [(0.6, True), (0.75, False), (0.9, True)])
     def test_path_max_resolves_the_level(self, alpha, autonomous):
@@ -632,7 +636,7 @@ class TestAutonomy:
         assert (resolved.p, resolved.theta, resolved.p0) == (spec.p, spec.theta, spec.p0)
 
     def test_flag_equals_autonomous_spec(self):
-        # a centred start is not recentred, so autonomy is nothing but the a = 0 spec
+        # autonomy is nothing but the a = 0 spec
         grid = dict(half_width=32.0, n_points=1024)
         by_flag = solve_ground_state(SolveConfig(autonomous=True, **grid))
         by_spec = solve_ground_state(
@@ -641,16 +645,17 @@ class TestAutonomy:
         assert by_flag.level == by_spec.level
         assert by_flag.iterations == by_spec.iterations
 
-    def test_far_start_recentres_under_either_spelling(self):
+    def test_far_start_is_the_same_under_either_spelling(self):
         # autonomous=True and an amplitude that is 0 or rounds away on the grid
-        # (1 + a(t) == 1 at every node) are the same a = 0 problem, so all recentre
+        # (1 + a(t) == 1 at every node) are the same a = 0 problem: none moves the start
         common = dict(half_width=32.0, n_points=2048, init=InitSpec(center=20.0))
         by_flag = solve_ground_state(SolveConfig(autonomous=True, **common))
-        assert by_flag.recentred_shift == 20.0
+        assert by_flag.argmax_y == 20.0
         for amplitude in (0.0, 1e-17):
             spec = NonlinearitySpec(perturbation=Perturbation(amplitude=amplitude))
             by_spec = solve_ground_state(SolveConfig(spec=spec, **common))
-            assert by_spec.recentred_shift == 20.0
+            assert by_spec.argmax_y == 20.0
+            assert (by_spec.level, by_spec.iterations) == (by_flag.level, by_flag.iterations)
             assert np.array_equal(by_flag.field.values, by_spec.field.values)
 
 
@@ -680,6 +685,8 @@ class TestCompareLevels:
         result = compare_levels(config)
         assert abs(result.c - result.c_bar) <= 1e-9
         assert not result.strict
+        # the one-shot level is c_bar up to rounding, no bound below it
+        assert not result.one_shot_strict
 
     def test_active_perturbation_lowers_level(self):
         config = SolveConfig(alpha=0.75, residual_tol=1e-7)
@@ -688,6 +695,15 @@ class TestCompareLevels:
         assert result.gap > 10 * config.residual_tol
         assert result.one_shot_strict
         assert result.one_shot_level < result.c_bar
+
+    @pytest.mark.parametrize("center", [0.0, 3.0, -7.0, 20.0])
+    def test_one_shot_is_near_c_from_any_start(self, center):
+        # the one-shot field is the autonomous ground state's best translate,
+        # wherever the autonomous solve left it
+        config = SolveConfig(half_width=32.0, n_points=1024, init=InitSpec(center=center))
+        result = compare_levels(config)
+        assert result.one_shot_level - result.c <= 0.01 * result.c
+        assert result.one_shot_strict
 
 
 class TestBoxLevel:
