@@ -23,7 +23,7 @@ from .errors import NoPositivePartError
 from .grid import Grid1D, SpectralField, translate
 # eval_df is unused here; bench/tracer.py binds it in this module and fails if it is missing
 from .nonlinearity import NonlinearitySpec, _coefficient, _power_plus, eval_F, eval_df, eval_f
-from .operators import _even_symbols, apply_multiplier, h_alpha_norm_sq, multiplier_symbol, validate_order
+from .operators import _even_symbols, _pairing, apply_multiplier, h_alpha_norm_sq, multiplier_symbol, validate_order
 
 __all__ = [
     "EnergyBreakdown",
@@ -206,11 +206,10 @@ def _fiber_scale(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> tupl
         raise NoPositivePartError("field has no positive part; no fiber maximizer exists")
     grid, power = u.grid, spec.p + 1.0
     mantissa, exponent = np.frexp(peak)
-    squares = np.ldexp(u.spectrum.view(np.float64), 1 - exponent)
-    squares *= squares
+    scaled = np.ldexp(u.spectrum.view(np.float64), 1 - exponent)
     # 2 m is max(u) scaled alike; an np.float64, so a flushed pairing gives inf, not an exception
     unit_peak = 2.0 * mantissa
-    unit_norm_sq = float(_even_symbols(grid, alpha)[3] @ squares) / unit_peak / unit_peak
+    unit_norm_sq = _pairing(grid, scaled, scaled, alpha) / unit_peak / unit_peak
     unit_pairing = power * grid.spacing * float(np.sum(eval_F(spec, grid, u.values / peak)))
     # inf or NaN once the norm or the pairing is flushed (as at p >~ 1e20) or a power overflows
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -239,8 +238,8 @@ def nehari_project(u: SpectralField, spec: NonlinearitySpec, alpha: float) -> Ne
     return NehariResult(sigma, projected, residual, quadratic - potential)
 
 
-#: cap on the sub-cell evaluations of the translation search
-_TRANSLATE_EVALS = 5
+#: cap on the Newton steps of the translation search
+_NEWTON_STEPS = 3
 
 
 def _best_translate(u: SpectralField, spec: NonlinearitySpec) -> tuple[SpectralField, float]:
@@ -248,44 +247,41 @@ def _best_translate(u: SpectralField, spec: NonlinearitySpec) -> tuple[SpectralF
 
     A spectral shift leaves ||u||_alpha unchanged, so by homogeneity the
     projected energy falls as the potential J(s) = h sum F(t, u(t - s)) rises,
-    taken of u / max(u).  Over whole cells J is one circular correlation,
-    searched globally; the best cell is refined by successive parabolic
-    interpolation through ``translate`` and ``_potential``, and the first
-    evaluation that does not raise J strictly marks its rounding floor and
-    ends the search.  A sub-cell shift can peak above max(u), and at large p
-    its J then overflows to inf: a rise, after which the parabola's vertex is
-    NaN and ends the search.  When 1 + a(t) is exactly 1 at every node (the
-    one test of a = 0: an amplitude that rounds away on the grid passes it as
-    amplitude 0 does), every translate has the same energy and J is flat, so
-    u itself is returned with shift 0.0 rather than moved by rounding.
+    taken of u / max(u).  J at the whole cells is one circular correlation,
+    with spectrum C, and its band-limited interpolant is J(s) = sum Re z over
+    the stored modes, z = C exp(i w s) with the interior modes doubled (up to
+    a positive factor), so J'(s) = -sum w Im z and J''(s) = -sum w^2 Re z in
+    closed form.  Mode 0 of C is set to 0: it holds the constant 1 of 1 + a
+    and no shape, and without it a near-flat a still picks the right cell.
+    The best cell is refined by at most ``_NEWTON_STEPS`` Newton steps
+    s <- s - J'/J''; the search stops before a step where J'' is not
+    negative (not concave), where the step is within eps L (no progress on a
+    shift in the box), or where the iterate would leave the cells next to
+    the best one (outside the bracket).  When 1 + a(t) is exactly 1 at every
+    node (the one test of a = 0: an amplitude that rounds away on the grid
+    passes it as amplitude 0 does), every translate has the same energy and
+    J is flat, so u itself is returned with shift 0.0 rather than moved by
+    rounding.
     """
     grid = u.grid
-    h, n = grid.spacing, grid.n_points
+    h, n, omega = grid.spacing, grid.n_points, grid.frequencies
     coeff = _coefficient(spec, grid)
     if np.all(coeff == 1.0):
         return u, 0.0
-    peak, power = float(np.max(u.values)), spec.p + 1.0
-    unit_power = _power_plus(u.values / peak, power)
-    cells = h / power * np.fft.irfft(np.fft.rfft(coeff) * np.conj(np.fft.rfft(unit_power)), n)
-    k = int(np.argmax(cells))
+    unit_power = _power_plus(u.values / float(np.max(u.values)), spec.p + 1.0)
+    spectrum = np.fft.rfft(coeff) * np.conj(np.fft.rfft(unit_power))
+    spectrum[0] = 0.0
+    k = int(np.argmax(np.fft.irfft(spectrum, n)))
     k = k - n if k >= n // 2 else k
-    xs = [(k - 1) * h, k * h, (k + 1) * h]
-    js = [cells[(k - 1) % n], cells[k], cells[(k + 1) % n]]
-    best = None
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed J ends the search
-        for _ in range(_TRANSLATE_EVALS):
-            (a, b, c), (ja, jb, jc) = xs, js
-            den = (b - a) * (jb - jc) - (b - c) * (jb - ja)
-            if den == 0.0:
-                break
-            x = b - 0.5 * ((b - a) ** 2 * (jb - jc) - (b - c) ** 2 * (jb - ja)) / den
-            if not a < x < c:
-                break
-            moved = translate(u, x)
-            jx = _potential(spec, grid, moved.values / peak)
-            if jx <= jb:
-                break
-            best = moved
-            xs, js = ([b, x, c], [jb, jx, jc]) if x > b else ([a, x, b], [ja, jx, jb])
-    shift = xs[1]
-    return (best if best is not None else translate(u, shift)), shift
+    spectrum[1:-1] *= 2.0
+    shift = k * h
+    for _ in range(_NEWTON_STEPS):
+        z = spectrum * np.exp(1j * shift * omega)
+        curvature = -float(omega * omega @ z.real)
+        if not curvature < 0.0:
+            break
+        step = float(omega @ z.imag) / curvature  # -J'/J'', as J' = -sum w Im z
+        if not (abs(step) > np.finfo(float).eps * grid.half_width and abs(shift + step - k * h) < h):
+            break
+        shift += step
+    return translate(u, shift), shift

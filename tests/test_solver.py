@@ -353,13 +353,36 @@ class TestMixing:
 
 
 class TestTranslationSearch:
-    @pytest.mark.parametrize("center", [0.3, 0.7, 1.5])
+    @pytest.mark.parametrize("center", [0.3, 0.7, 1.5, 0.01])
     def test_shift_centres_the_bump(self, default_grid, center):
         # a(t) is a Gaussian bump at 0, so the best translate of a Gaussian centres it
         u = gaussian_field(default_grid, center=center)
         moved, shift = _best_translate(u, NonlinearitySpec())
-        assert abs(shift + center) <= 1e-6
-        assert np.max(np.abs(moved.values - gaussian_field(default_grid).values)) <= 1e-6
+        assert abs(shift + center) <= 1e-12
+        assert np.max(np.abs(moved.values - gaussian_field(default_grid).values)) <= 1e-12
+
+    @pytest.mark.parametrize("amplitude", [1e-14, 2e-16])
+    def test_a_near_flat_perturbation_centres_the_bump(self, default_grid, amplitude):
+        # 1 + a(t) differs from 1 by a few ulp, so the constant 1 swamps the
+        # whole-cell correlation unless its mode 0 is dropped
+        spec = NonlinearitySpec(perturbation=Perturbation(amplitude=amplitude))
+        u = gaussian_field(default_grid, center=0.37)
+        _, shift = _best_translate(u, spec)
+        assert abs(shift + 0.37) <= 1e-12
+
+    @pytest.mark.parametrize("center", [0.37, 1.5])
+    def test_one_translate_per_search(self, default_grid, monkeypatch, center):
+        # the sub-cell shift comes from the correlation's spectrum, so the field is moved once
+        calls = []
+        real_translate = variational_module.translate
+
+        def counted(*args):
+            calls.append(args[1])
+            return real_translate(*args)
+
+        monkeypatch.setattr(variational_module, "translate", counted)
+        _, shift = _best_translate(gaussian_field(default_grid, center=center), NonlinearitySpec())
+        assert calls == [shift]
 
     @pytest.mark.parametrize("autonomous, amplitude", [(True, 0.5), (False, 0.0), (False, 1e-17)])
     def test_a_zero_returns_the_input(self, autonomous, amplitude):
@@ -371,25 +394,16 @@ class TestTranslationSearch:
         moved, shift = _best_translate(u, config.nonlinearity())
         assert moved is u and shift == 0.0
 
-    def test_an_overflowed_potential_ends_the_search(self, monkeypatch):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_narrow_start_at_large_p_converges_without_warnings(self):
         # at p = 4027 this narrow start off the nodes peaks above its largest
-        # sample once shifted between nodes, so J overflows to inf there; the
-        # vertex after it is NaN and ends the search, with no RuntimeWarning
-        potentials = []
-        real_potential = variational_module._potential
-
-        def recorded(*args):
-            potentials.append(real_potential(*args))
-            return potentials[-1]
-
-        monkeypatch.setattr(variational_module, "_potential", recorded)
+        # sample once shifted between nodes, where a potential would overflow;
+        # the search reads the correlation's spectrum and evaluates no potential
         spec = NonlinearitySpec(p=4027.0, theta=4028.0, p0=4028.0)
         config = SolveConfig(
             half_width=32.0, n_points=1024, spec=spec, init=InitSpec(center=0.783, width=0.0345)
         )
-        report = solve_ground_state(config)
-        assert potentials[-1] == np.inf and len(potentials) < variational_module._TRANSLATE_EVALS
-        assert report.converged
+        assert solve_ground_state(config).converged
 
     def test_offcentre_iteration_budget(self):
         # without the search this start drifts onto the bump of a(t) for 329 iterations
